@@ -1172,9 +1172,9 @@ impl FleetController {
 mod tests {
     use super::*;
 
-    #[test]
-    fn checkpoint_round_trips_through_the_codec() {
-        let checkpoint = Checkpoint {
+    /// A checkpoint with every field populated.
+    fn checkpoint_fixture() -> Checkpoint {
+        Checkpoint {
             epoch_next: 7,
             tenants: vec![TenantSnapshot {
                 initial_fractions: vec![0.25, 0.75],
@@ -1242,7 +1242,67 @@ mod tests {
             }),
             trace_fingerprints: vec![0xDEAD_BEEF_0123_4567],
             chaos_calls: Some(42),
-        };
+        }
+    }
+
+    /// A journal record with every field non-default, assembled from the
+    /// checkpoint fixture's parts.
+    fn journal_fixture() -> JournalRecord {
+        let checkpoint = checkpoint_fixture();
+        let tenant = checkpoint.tenants[0].clone();
+        let mut scalars = tenant.scalars;
+        scalars.degraded_resolves = 2;
+        let mut new_plans = tenant.plans;
+        new_plans[0].exhausted = true;
+        let mut new_adoptions = checkpoint.adoptions;
+        new_adoptions[0].projected_keep = Some(410.0);
+        JournalRecord {
+            epoch: 5,
+            tenants: vec![TenantDelta {
+                scalars,
+                new_epoch_costs: vec![31.5, -0.0],
+                new_plans,
+            }],
+            new_adoptions,
+            stale_desired: checkpoint.stale_desired,
+            ledger: checkpoint.ledger,
+            chaos_calls: Some(17),
+        }
+    }
+
+    /// FNV-1a over a byte string: a stable digest of an encoded payload.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+            (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// The exact on-disk bytes of both payload kinds are pinned: a layout
+    /// change must bump `FORMAT_VERSION` rather than silently reinterpret
+    /// stores written by an earlier build.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        let checkpoint = checkpoint_fixture().encode();
+        let record = journal_fixture().encode();
+        assert_eq!(
+            (checkpoint.len(), fnv1a(&checkpoint)),
+            (790, 0xAFC6_6E1A_3245_29CE),
+            "checkpoint layout changed"
+        );
+        assert_eq!(
+            (record.len(), fnv1a(&record)),
+            (742, 0xA5E6_F13D_91E6_1853),
+            "journal record layout changed"
+        );
+        assert_eq!(
+            JournalRecord::decode(&record).expect("round trip"),
+            journal_fixture()
+        );
+    }
+
+    #[test]
+    fn checkpoint_round_trips_through_the_codec() {
+        let checkpoint = checkpoint_fixture();
         let decoded = Checkpoint::decode(&checkpoint.encode()).expect("round trip");
         assert_eq!(decoded, checkpoint);
         // -0.0 must survive bit-exactly (f64s are stored as raw bits).

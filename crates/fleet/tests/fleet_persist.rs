@@ -5,7 +5,7 @@
 //! and must never panic or over-grant the quota while recovering.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -15,6 +15,7 @@ use rental_fleet::{
     CrashPoint, FleetController, FleetPolicy, FleetReport, PersistOptions, RunOutcome,
     ACCEPTANCE_SEED,
 };
+use rental_obs::Recorder;
 use rental_persist::Store;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::SolveBudget;
@@ -174,6 +175,44 @@ fn resume_of_a_garbage_store_cold_starts() {
         .completed()
         .expect("garbage store still completes");
     assert!(resumed.matches_modulo_timing(reference()));
+}
+
+/// The plain chaos entry point and the persistent one drive the same epoch
+/// loop: with a recorder attached, an uninterrupted `run_resumable` emits
+/// exactly the flight-recorder events and trace trees of `run_with_chaos`.
+#[test]
+fn plain_and_resumable_runs_emit_the_same_telemetry() {
+    let (tenants, config, policy) = scenario();
+    let chaos = ChaosConfig {
+        timeout_rate: 0.2,
+        arbitration_delay_rate: 0.1,
+        ..ChaosConfig::with_seed(7)
+    };
+    let plain = Arc::new(Recorder::new());
+    FleetController::new(policy)
+        .with_telemetry(plain.clone())
+        .run_with_chaos(&IlpSolver::new(), &tenants, &config, chaos)
+        .unwrap();
+    let durable = Arc::new(Recorder::new());
+    let store = scratch_store("telemetry");
+    FleetController::new(policy)
+        .with_telemetry(durable.clone())
+        .run_resumable(
+            &IlpSolver::new(),
+            &tenants,
+            &config,
+            Some(chaos),
+            &store,
+            &PersistOptions::default(),
+            None,
+        )
+        .unwrap()
+        .completed()
+        .expect("no crash was planned");
+    let events = plain.flight().events();
+    assert!(!events.is_empty(), "the chaotic scenario emits events");
+    assert_eq!(events, durable.flight().events());
+    assert_eq!(plain.traces().len(), durable.traces().len());
 }
 
 /// The CI kill-and-resume lane: the 16-tenant acceptance fleet, snapshot at
