@@ -378,6 +378,12 @@ mod tests {
     use super::*;
     use rental_obs::EventKind;
 
+    /// The lane installs its recorder as the process-wide ambient sink, and
+    /// a finishing run uninstalls it. Lane runs on parallel test threads
+    /// would therefore steal each other's LP/solver metrics, so the tests
+    /// that run the lane take turns.
+    static AMBIENT_SINK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn small_spec() -> FleetObsSpec {
         FleetObsSpec {
             num_tenants: 3,
@@ -389,6 +395,7 @@ mod tests {
 
     #[test]
     fn obs_lane_captures_stages_effort_metrics_and_events() {
+        let _turn = AMBIENT_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let table = run_fleet_obs_experiment(&small_spec()).unwrap();
         assert_eq!(table.report.tenants.len(), 3);
         assert!(table.report.stage_seconds().total() > 0.0);
@@ -434,6 +441,7 @@ mod tests {
 
     #[test]
     fn obs_lane_event_sequences_are_deterministic() {
+        let _turn = AMBIENT_SINK.lock().unwrap_or_else(|e| e.into_inner());
         let a = run_fleet_obs_experiment(&small_spec()).unwrap();
         let b = run_fleet_obs_experiment(&small_spec()).unwrap();
         let key = |events: &[Event]| -> Vec<(u64, usize, EventKind, Option<usize>)> {

@@ -40,7 +40,8 @@ use rental_solvers::solver::{
     WarmStartSolver,
 };
 
-use crate::controller::FleetController;
+use crate::controller::{completed, FleetController};
+use crate::epoch::{CapsResolve, WarmResolve};
 use crate::report::FleetReport;
 use crate::tenant::TenantSpec;
 
@@ -236,29 +237,34 @@ impl<'a, S> ChaosSolver<'a, S> {
         Some(fault)
     }
 
-    /// The injected error of a killed solve.
-    fn injected_error(&self, fault: &Fault) -> SolveError {
-        match fault {
-            Fault::Infeasible => SolveError::NoSolutionFound {
-                solver: "chaos".to_string(),
-            },
+    /// Runs one intercepted solve: draws its fault, then either kills it
+    /// with the injected error or delegates — with an inflated copy of the
+    /// warm-start prior's proven lower bound when the fault poisons it, a
+    /// bound the downstream solver must refuse to trust blindly.
+    fn intercept(
+        &self,
+        prior: Option<&SweepPrior>,
+        solve: impl FnOnce(Option<&SweepPrior>) -> SolveResult<SolverOutcome>,
+    ) -> SolveResult<SolverOutcome> {
+        let solver = || "chaos".to_string();
+        match self.draw() {
+            None => solve(prior),
+            Some(Fault::Poison) => {
+                let poisoned = prior.map(|p| SweepPrior {
+                    lower_bound: p
+                        .lower_bound
+                        .map(|b| b * self.config.poison_factor.max(1.0) + 1.0),
+                    ..p.clone()
+                });
+                solve(poisoned.as_ref())
+            }
+            Some(Fault::Infeasible) => Err(SolveError::NoSolutionFound { solver: solver() }),
             // Timeouts and singular refactorizations are both inconclusive
             // and retryable at this boundary.
-            _ => SolveError::BudgetExhausted {
-                solver: "chaos".to_string(),
-            },
+            Some(Fault::Timeout | Fault::Singular) => {
+                Err(SolveError::BudgetExhausted { solver: solver() })
+            }
         }
-    }
-
-    /// A copy of `prior` with its proven lower bound inflated — a bound the
-    /// downstream solver must refuse to trust blindly.
-    fn poisoned(&self, prior: Option<&SweepPrior>) -> Option<SweepPrior> {
-        prior.map(|p| SweepPrior {
-            lower_bound: p
-                .lower_bound
-                .map(|b| b * self.config.poison_factor.max(1.0) + 1.0),
-            ..p.clone()
-        })
     }
 }
 
@@ -281,15 +287,9 @@ impl<S: WarmStartSolver> WarmStartSolver for ChaosSolver<'_, S> {
         target: Throughput,
         prior: Option<&SweepPrior>,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner
-                    .solve_with_prior(instance, target, poisoned.as_ref())
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self.inner.solve_with_prior(instance, target, prior),
-        }
+        self.intercept(prior, |prior| {
+            self.inner.solve_with_prior(instance, target, prior)
+        })
     }
 
     fn solve_with_prior_budgeted(
@@ -299,17 +299,10 @@ impl<S: WarmStartSolver> WarmStartSolver for ChaosSolver<'_, S> {
         prior: Option<&SweepPrior>,
         budget: &SolveBudget,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner
-                    .solve_with_prior_budgeted(instance, target, poisoned.as_ref(), budget)
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self
-                .inner
-                .solve_with_prior_budgeted(instance, target, prior, budget),
-        }
+        self.intercept(prior, |prior| {
+            self.inner
+                .solve_with_prior_budgeted(instance, target, prior, budget)
+        })
     }
 }
 
@@ -321,15 +314,9 @@ impl<S: CapacitySolver> CapacitySolver for ChaosSolver<'_, S> {
         caps: &[u64],
         prior: Option<&SweepPrior>,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner
-                    .solve_with_caps(instance, target, caps, poisoned.as_ref())
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self.inner.solve_with_caps(instance, target, caps, prior),
-        }
+        self.intercept(prior, |prior| {
+            self.inner.solve_with_caps(instance, target, caps, prior)
+        })
     }
 
     fn solve_with_caps_budgeted(
@@ -340,23 +327,43 @@ impl<S: CapacitySolver> CapacitySolver for ChaosSolver<'_, S> {
         prior: Option<&SweepPrior>,
         budget: &SolveBudget,
     ) -> SolveResult<SolverOutcome> {
-        match self.draw() {
-            Some(Fault::Poison) => {
-                let poisoned = self.poisoned(prior);
-                self.inner.solve_with_caps_budgeted(
-                    instance,
-                    target,
-                    caps,
-                    poisoned.as_ref(),
-                    budget,
-                )
-            }
-            Some(fault) => Err(self.injected_error(&fault)),
-            None => self
-                .inner
-                .solve_with_caps_budgeted(instance, target, caps, prior, budget),
-        }
+        self.intercept(prior, |prior| {
+            self.inner
+                .solve_with_caps_budgeted(instance, target, caps, prior, budget)
+        })
     }
+}
+
+/// The chaos plumbing of one chaos-wrapped run, as handed to the epoch
+/// loop: the arbitration clock, plus the wrapped solver's fault-stream
+/// position — checkpointed by [`crate::persist`] so a resumed run draws
+/// exactly the faults the uninterrupted run would have drawn.
+#[derive(Clone, Copy)]
+pub(crate) struct Chaos<'r> {
+    pub(crate) clock: &'r ChaosClock<'r>,
+    pub(crate) stream: &'r AtomicU64,
+}
+
+/// Runs `f` on `solver` — wrapped in the fault injector and paired with an
+/// arbitration clock when `chaos` is given, the one place both are built.
+/// The first `protected` calls (the initial batch) are never faulted.
+pub(crate) fn with_chaos<S: CapacitySolver + Sync, R>(
+    solver: &S,
+    chaos: Option<ChaosConfig>,
+    protected: usize,
+    stats: &ChaosStats,
+    f: impl FnOnce(&dyn WarmResolve, &dyn CapsResolve, Option<Chaos<'_>>) -> R,
+) -> R {
+    let Some(config) = chaos else {
+        return f(solver, solver, None);
+    };
+    let wrapped = ChaosSolver::new(solver, config, protected, stats);
+    let clock = ChaosClock::new(config, stats);
+    let plumbing = Chaos {
+        clock: &clock,
+        stream: &wrapped.calls,
+    };
+    f(&wrapped, &wrapped, Some(plumbing))
 }
 
 /// Per-epoch arbitration chaos: decides which epochs act on stale desired
@@ -368,10 +375,8 @@ pub struct ChaosClock<'a> {
 }
 
 impl<'a> ChaosClock<'a> {
-    /// Builds a clock over the given config and fault counters — used by
-    /// [`FleetController::run_with_chaos`] and the resumable entry points
-    /// of [`crate::persist`].
-    pub(crate) fn new(config: ChaosConfig, stats: &'a ChaosStats) -> Self {
+    /// Builds a clock over the given config and fault counters.
+    fn new(config: ChaosConfig, stats: &'a ChaosStats) -> Self {
         ChaosClock { config, stats }
     }
 
@@ -537,14 +542,15 @@ impl FleetController {
         chaos: ChaosConfig,
     ) -> SolveResult<(FleetReport, ChaosStats)> {
         let stats = ChaosStats::default();
-        let report = {
-            let wrapped = ChaosSolver::new(solver, chaos, tenants.len(), &stats);
-            let clock = ChaosClock {
-                config: chaos,
-                stats: &stats,
-            };
-            self.run_core_coupled_chaos(&wrapped, tenants, config, Some(&clock))?
-        };
+        let report = with_chaos(
+            solver,
+            Some(chaos),
+            tenants.len(),
+            &stats,
+            |warm, caps, chaos| {
+                completed(self.execute(warm, Some(caps), tenants, Some(config), chaos, None))
+            },
+        )?;
         Ok((report, stats))
     }
 }

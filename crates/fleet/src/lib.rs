@@ -52,7 +52,18 @@
 //! [`rental_capacity::CapacityConfig::unconstrained`] the coupled path is
 //! bit-identical to [`FleetController::run`].
 //!
-//! ## Sharded epoch pipelines
+//! ## One epoch loop, sharded epoch pipelines
+//!
+//! Every entry point — [`FleetController::run`], `run_with_capacity`,
+//! [`FleetController::run_with_chaos`], [`FleetController::run_resumable`]
+//! and [`FleetController::resume_from`] — runs the **same epoch loop**; they
+//! differ only in what they hand it: a capacity coupling, a chaos-wrapped
+//! solver, a persistence hook. Each epoch is five stage functions, named
+//! after the spans of the epoch's trace tree: **bill/arbitrate**
+//! (`arbitrate`), **failure re-solve** (its probes and solves charge
+//! `shard_probe` and `solve`), **probe** (`shard_probe`, `merge_wait`),
+//! **solve** (`solve`) and **adopt** (`adopt`); a resumable run's hook then
+//! persists the epoch (`persist`).
 //!
 //! At fleet scale (10³–10⁴ tenants) the per-tenant epoch work — trace
 //! advancement, shift detection, memoized what-if probes, grant billing —
@@ -107,39 +118,33 @@
 //!
 //! ## Crash safety: checkpoints, the write-ahead journal and the recovery ladder
 //!
-//! [`FleetController::run_resumable`] makes the same loop **durable**: every
-//! completed epoch appends one CRC-framed record to a write-ahead journal in
-//! a [`rental_persist::Store`], and a full checkpoint of the controller state
-//! (per-tenant plans, backoff state, report counters, the pool ledger, the
-//! outage-trace fingerprints, the chaos fault-stream position) is snapshotted
-//! every [`PersistOptions::snapshot_every`] epochs — atomically, via
-//! temp-file-and-rename. A run killed at *any* point is restarted with
+//! [`FleetController::run_resumable`] makes the same loop **durable** by
+//! giving it an end-of-epoch persistence hook: after every executed epoch
+//! the hook appends one CRC-framed record to a write-ahead journal in a
+//! [`rental_persist::Store`], and every [`PersistOptions::snapshot_every`]
+//! epochs it snapshots the full controller state (per-tenant plans, backoff
+//! state, report counters, the pool ledger, the outage-trace fingerprints,
+//! the chaos fault-stream position) atomically, via temp-file-and-rename.
+//! The same hook strikes a planned [`CrashPlan`]. A plain run has no hook
+//! and does no persistence work at all.
+//!
+//! A run killed at *any* point is restarted with
 //! [`FleetController::resume_from`], which climbs a three-rung **recovery
-//! ladder**, healthiest first:
-//!
-//! 1. **journal replay** — restore the newest checksum-valid snapshot and
-//!    re-apply the journal records after it, epoch by epoch; the run then
-//!    continues from the first unexecuted epoch;
-//! 2. **last good snapshot** — when the journal's tail is torn or corrupted
-//!    (bad length, bad CRC, wrong epoch), the invalid suffix is discarded,
-//!    the journal is rewritten to the applied prefix, and the lost epochs
-//!    are simply re-executed from the snapshot — determinism makes
-//!    re-execution and replay indistinguishable;
-//! 3. **cold restart** — with no usable snapshot at all, the store is reset
-//!    and the run starts from epoch 0 exactly as a fresh
-//!    [`FleetController::run_with_capacity`] would.
-//!
-//! Because every solve is deterministic under a pinned thread count and a
-//! node-cap budget, all three rungs land on a report **bit-identical**
-//! (modulo wall-clock timing, see [`FleetReport::matches_modulo_timing`]) to
-//! the uninterrupted run — pinned by the `fleet_persist` property tests,
-//! which crash at seeded epochs and journal-write points (including torn
-//! mid-record writes via [`CrashPlan`]), corrupt the journal tail
-//! ([`CorruptionFault`]), and resume under active chaos injection. Restored
-//! plans are re-certified by `rental_solvers::certify_plan` before they are
-//! trusted, and the pool ledger is re-admitted only through the quota
-//! invariants of `rental_capacity::CapacityPool::restore_ledger` — a
-//! corrupted store can cost re-execution time, never an over-grant.
+//! ladder**, healthiest first — journal replay onto the newest valid
+//! snapshot, then the last good snapshot with the lost epochs re-executed,
+//! then a cold restart — before entering the loop at the first unexecuted
+//! epoch (see [`persist`] for each rung). Because every solve is
+//! deterministic under a pinned thread count and a node-cap budget, all
+//! three rungs land on a report **bit-identical** (modulo wall-clock
+//! timing, see [`FleetReport::matches_modulo_timing`]) to the uninterrupted
+//! run — pinned by the `fleet_persist` property tests, which crash at
+//! seeded epochs and journal-write points (including torn mid-record writes
+//! via [`CrashPlan`]), corrupt the journal tail ([`CorruptionFault`]), and
+//! resume under active chaos injection. Restored plans are re-certified by
+//! `rental_solvers::certify_plan` before they are trusted, and the pool
+//! ledger is re-admitted only through the quota invariants of
+//! `rental_capacity::CapacityPool::restore_ledger` — a corrupted store can
+//! cost re-execution time, never an over-grant.
 //!
 //! ## Telemetry: spans, metrics and the flight recorder
 //!
@@ -233,6 +238,7 @@
 
 pub mod chaos;
 pub mod controller;
+mod epoch;
 pub mod persist;
 pub mod report;
 pub mod scenario;

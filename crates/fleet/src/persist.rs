@@ -1,17 +1,21 @@
 //! Crash-safe fleet serving: checkpoint/WAL persistence and deterministic
 //! resume on top of [`rental_persist`].
 //!
-//! [`FleetController::run_resumable`] executes the capacity-coupled serving
-//! loop epoch by epoch, writing one **journal record** per completed epoch
-//! (the state delta: scalars, new epoch costs, newly learned plans, new
-//! adoption records, the pool ledger) and a full **checkpoint snapshot**
-//! every [`PersistOptions::snapshot_every`] epochs. Both are framed with
-//! CRC-32 checksums by the [`rental_persist::Store`], so torn writes and
-//! tail corruption are detected, never trusted.
+//! A resumable run is the ordinary epoch loop with an end-of-epoch
+//! persistence hook (`Persistence`). After every executed epoch the hook
+//! writes one **journal record** (the state delta: scalars, new epoch costs,
+//! newly learned plans, new adoption records, the pool ledger) and, every
+//! [`PersistOptions::snapshot_every`] epochs, a full **checkpoint
+//! snapshot**; it is also where a planned [`CrashPlan`] strikes. Both
+//! payloads are framed with CRC-32 checksums by the [`rental_persist::Store`],
+//! so torn writes and tail corruption are detected, never trusted. Each
+//! tenant's report accounting travels through one codec pair
+//! (`put_accounting` / `get_accounting`) in the v2 byte layout.
 //!
-//! [`FleetController::resume_from`] restores a killed run and continues it —
-//! producing a [`FleetReport`] **bit-identical** (modulo wall-clock timing,
-//! see [`FleetReport::matches_modulo_timing`]) to the uninterrupted run. The
+//! [`FleetController::resume_from`] restores a killed run and hands it back
+//! to the loop at its first unexecuted epoch — producing a [`FleetReport`]
+//! **bit-identical** (modulo wall-clock timing, see
+//! [`FleetReport::matches_modulo_timing`]) to the uninterrupted run. The
 //! recovery ladder, healthiest rung first:
 //!
 //! 1. **journal replay** — decode the newest frame-valid snapshot, then
@@ -22,9 +26,10 @@
 //!    exactly;
 //! 3. **cold restart** — nothing restorable (or the persisted state fails
 //!    validation: bad arity, failed plan certification, a quota ledger that
-//!    would over-grant, outage-trace fingerprint mismatch): the store is
-//!    reset and the whole run re-executes from the initial fixed-mix plans.
-//!    Determinism makes even this rung produce the identical report.
+//!    would over-grant, outage-trace fingerprint mismatch, an adoption dated
+//!    after its own checkpoint): the store is reset and the whole run
+//!    re-executes from the initial fixed-mix plans. Determinism makes even
+//!    this rung produce the identical report.
 //!
 //! Only **decision state** is persisted. Derived caches — the fixed-mix
 //! scaler, probe memos, plan horizon caches, the outage traces themselves —
@@ -37,27 +42,27 @@
 //!
 //! **Sharding is resume-transparent.** The shard fan-out knob
 //! ([`crate::FleetPolicy::shards`]) lives in the policy, not the store:
-//! resumed runs drive the same sharded `epoch_step` as the original, and
+//! resumed runs drive the same sharded epoch loop as the original, and
 //! because every shard count produces bit-identical decision state, a run
 //! journaled under one shard count may be resumed under another (or on a
 //! machine with a different core count) without divergence — the
 //! `fleet_sharding` kill-and-resume property test pins exactly this.
 
 use std::io;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use rental_capacity::{CapacityConfig, PoolLedger};
 use rental_core::{Allocation, Solution, Throughput, ThroughputSplit};
-use rental_obs::{EventKind, FanoutObs, SpanTimer, Stage, StageTimes};
+use rental_obs::{EventKind, SpanTimer, Stage, StageTimes, TelemetrySink};
 use rental_persist::{DecodeError, Decoder, Encoder, Store};
 use rental_solvers::solver::{CapacitySolver, SolveError, SolverOutcome, SweepPrior};
-use rental_stream::{FixedMixScaler, FixedMixState};
+use rental_stream::FixedMixState;
 
-use crate::chaos::{ChaosClock, ChaosConfig, ChaosSolver, ChaosStats, CrashPlan, CrashPoint};
-use crate::controller::{
-    min_unit_cost, CouplingState, FleetController, KnownPlan, RunEnv, TenantState,
-};
-use crate::report::{AdoptionRecord, FleetReport, SolverEffort};
+use crate::chaos::{with_chaos, ChaosConfig, ChaosStats, CrashPlan, CrashPoint};
+use crate::controller::{CouplingState, FleetController, KnownPlan, TenantState};
+use crate::epoch::{Epoch, EpochCtx, RunState};
+use crate::report::{AdoptionRecord, FleetReport, TenantReport};
 use crate::tenant::TenantSpec;
 
 /// Magic number of checkpoint snapshots (`"RPSF"`).
@@ -152,24 +157,6 @@ impl RunOutcome {
     }
 }
 
-/// Read/reposition hook over a deterministic fault stream's call counter —
-/// implemented by [`ChaosSolver`] so a resumed chaos run draws exactly the
-/// faults the uninterrupted run would have drawn.
-pub(crate) trait CallCounter {
-    fn calls(&self) -> u64;
-    fn set_calls(&self, calls: u64);
-}
-
-impl<S> CallCounter for ChaosSolver<'_, S> {
-    fn calls(&self) -> u64 {
-        ChaosSolver::calls(self)
-    }
-
-    fn set_calls(&self, calls: u64) {
-        ChaosSolver::set_calls(self, calls)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Persisted shapes
 // ---------------------------------------------------------------------------
@@ -198,8 +185,9 @@ struct PersistedPrior {
     lower_bound: Option<f64>,
 }
 
-/// The per-tenant decision scalars. Journal records carry them **absolute**
-/// (they are small), so applying a record is idempotent.
+/// The per-tenant decision scalars plus the report accounting. Journal
+/// records carry them **absolute** (they are small), so applying a record
+/// is idempotent.
 #[derive(Debug, Clone, PartialEq)]
 struct ScalarState {
     fractions: Vec<f64>,
@@ -211,26 +199,11 @@ struct ScalarState {
     last_failure_solve: Option<(Throughput, Vec<u64>)>,
     deferred_until: usize,
     backoff: usize,
-    rental_cost: f64,
-    switching_cost: f64,
-    /// Per-stage wall-clock seconds, in [`Stage::ALL`] order. Timing is the
-    /// one masked field family of [`FleetReport::matches_modulo_timing`], but
-    /// it is still persisted so a resumed run's totals keep the pre-crash
-    /// portion instead of silently dropping it.
-    stage_seconds: [f64; Stage::COUNT],
-    effort_solves: usize,
-    effort_nodes: usize,
-    effort_lp_iterations: usize,
-    probes: usize,
-    resolves: usize,
-    adoptions: usize,
-    slo_violations: usize,
-    failure_resolves: usize,
-    degraded_resolves: usize,
-    deferred_resolves: usize,
-    budget_exhausted_epochs: usize,
-    incumbent_adoptions: usize,
-    resolve_retries: usize,
+    /// The tenant's report accounting: costs, per-stage seconds, solver
+    /// effort and event counters (see [`put_accounting`]). Its identity,
+    /// epoch costs and baselines are not part of it — they travel in their
+    /// own fields or are recomputed at the end of the run.
+    accounting: TenantReport,
 }
 
 /// One tenant's full checkpointed state.
@@ -338,28 +311,7 @@ fn put_scalars(enc: &mut Encoder, sc: &ScalarState) {
     });
     enc.put_usize(sc.deferred_until);
     enc.put_usize(sc.backoff);
-    enc.put_f64(sc.rental_cost);
-    enc.put_f64(sc.switching_cost);
-    for seconds in sc.stage_seconds {
-        enc.put_f64(seconds);
-    }
-    for count in [
-        sc.effort_solves,
-        sc.effort_nodes,
-        sc.effort_lp_iterations,
-        sc.probes,
-        sc.resolves,
-        sc.adoptions,
-        sc.slo_violations,
-        sc.failure_resolves,
-        sc.degraded_resolves,
-        sc.deferred_resolves,
-        sc.budget_exhausted_epochs,
-        sc.incumbent_adoptions,
-        sc.resolve_retries,
-    ] {
-        enc.put_usize(count);
-    }
+    put_accounting(enc, &sc.accounting);
 }
 
 fn get_scalars(dec: &mut Decoder<'_>) -> Result<ScalarState, DecodeError> {
@@ -379,29 +331,72 @@ fn get_scalars(dec: &mut Decoder<'_>) -> Result<ScalarState, DecodeError> {
         last_failure_solve: dec.get_opt(|d| Ok((d.get_u64()?, d.get_u64s()?)))?,
         deferred_until: dec.get_usize()?,
         backoff: dec.get_usize()?,
-        rental_cost: dec.get_f64()?,
-        switching_cost: dec.get_f64()?,
-        stage_seconds: {
-            let mut seconds = [0.0; Stage::COUNT];
-            for slot in &mut seconds {
-                *slot = dec.get_f64()?;
-            }
-            seconds
-        },
-        effort_solves: dec.get_usize()?,
-        effort_nodes: dec.get_usize()?,
-        effort_lp_iterations: dec.get_usize()?,
-        probes: dec.get_usize()?,
-        resolves: dec.get_usize()?,
-        adoptions: dec.get_usize()?,
-        slo_violations: dec.get_usize()?,
-        failure_resolves: dec.get_usize()?,
-        degraded_resolves: dec.get_usize()?,
-        deferred_resolves: dec.get_usize()?,
-        budget_exhausted_epochs: dec.get_usize()?,
-        incumbent_adoptions: dec.get_usize()?,
-        resolve_retries: dec.get_usize()?,
+        accounting: get_accounting(dec)?,
     })
+}
+
+/// The one codec pair of a tenant's report accounting — every cost, stage
+/// timing, effort and event counter of [`TenantReport`] that accrues over a
+/// run, in a fixed order.
+fn put_accounting(enc: &mut Encoder, report: &TenantReport) {
+    enc.put_f64(report.rental_cost);
+    enc.put_f64(report.switching_cost);
+    // Per-stage wall-clock seconds, in [`Stage::ALL`] order. Timing is the
+    // one masked field family of [`FleetReport::matches_modulo_timing`], but
+    // it is still persisted so a resumed run's totals keep the pre-crash
+    // portion instead of silently dropping it.
+    for seconds in report.timing.seconds() {
+        enc.put_f64(seconds);
+    }
+    let effort = &report.effort;
+    for count in [
+        effort.solves,
+        effort.nodes,
+        effort.lp_iterations,
+        report.probes,
+        report.resolves,
+        report.adoptions,
+        report.slo_violation_epochs,
+        report.failure_resolves,
+        report.degraded_resolves,
+        report.deferred_resolves,
+        report.budget_exhausted_epochs,
+        report.incumbent_adoptions,
+        report.resolve_retries,
+    ] {
+        enc.put_usize(count);
+    }
+}
+
+/// Decodes [`put_accounting`] into a report with a blank identity.
+fn get_accounting(dec: &mut Decoder<'_>) -> Result<TenantReport, DecodeError> {
+    let mut report = TenantReport::new(String::new(), 0);
+    report.rental_cost = dec.get_f64()?;
+    report.switching_cost = dec.get_f64()?;
+    let mut seconds = [0.0; Stage::COUNT];
+    for slot in &mut seconds {
+        *slot = dec.get_f64()?;
+    }
+    report.timing = StageTimes::from_seconds(seconds);
+    let effort = &mut report.effort;
+    for slot in [
+        &mut effort.solves,
+        &mut effort.nodes,
+        &mut effort.lp_iterations,
+        &mut report.probes,
+        &mut report.resolves,
+        &mut report.adoptions,
+        &mut report.slo_violation_epochs,
+        &mut report.failure_resolves,
+        &mut report.degraded_resolves,
+        &mut report.deferred_resolves,
+        &mut report.budget_exhausted_epochs,
+        &mut report.incumbent_adoptions,
+        &mut report.resolve_retries,
+    ] {
+        *slot = dec.get_usize()?;
+    }
+    Ok(report)
 }
 
 fn put_adoption(enc: &mut Encoder, record: &AdoptionRecord) {
@@ -591,31 +586,23 @@ fn capture_scalars(state: &TenantState<'_>) -> ScalarState {
         last_failure_solve: state.last_failure_solve.clone(),
         deferred_until: state.deferred_until,
         backoff: state.backoff,
-        rental_cost: state.rental_cost,
-        switching_cost: state.switching_cost,
-        stage_seconds: state.timing.seconds(),
-        effort_solves: state.effort.solves,
-        effort_nodes: state.effort.nodes,
-        effort_lp_iterations: state.effort.lp_iterations,
-        probes: state.probes,
-        resolves: state.resolves,
-        adoptions: state.adoptions,
-        slo_violations: state.slo_violations,
-        failure_resolves: state.failure_resolves,
-        degraded_resolves: state.degraded_resolves,
-        deferred_resolves: state.deferred_resolves,
-        budget_exhausted_epochs: state.budget_exhausted_epochs,
-        incumbent_adoptions: state.incumbent_adoptions,
-        resolve_retries: state.resolve_retries,
+        // Everything but the name and the epoch-cost history, which travel
+        // elsewhere — and copying the history here would make every
+        // journal record cost time linear in the run's length.
+        accounting: TenantReport {
+            name: String::new(),
+            epoch_costs: Vec::new(),
+            ..state.report
+        },
     }
 }
 
 fn capture_tenant(state: &TenantState<'_>) -> TenantSnapshot {
     TenantSnapshot {
         initial_fractions: state.initial_fractions.clone(),
-        initial_target: state.initial_target,
+        initial_target: state.report.initial_target,
         scalars: capture_scalars(state),
-        epoch_costs: state.epoch_costs.clone(),
+        epoch_costs: state.report.epoch_costs.clone(),
         plans: state
             .known_order
             .iter()
@@ -626,52 +613,20 @@ fn capture_tenant(state: &TenantState<'_>) -> TenantSnapshot {
 
 fn capture_checkpoint(
     epoch_next: u64,
-    states: &[TenantState<'_>],
-    adoptions: &[AdoptionRecord],
-    stale_desired: Option<&Vec<Vec<u64>>>,
-    coupled: Option<&CouplingState>,
-    counter: Option<&dyn CallCounter>,
+    run: &RunState<'_>,
+    fault_stream: Option<&AtomicU64>,
 ) -> Checkpoint {
+    let coupled = run.coupled.as_ref();
     Checkpoint {
         epoch_next,
-        tenants: states.iter().map(capture_tenant).collect(),
-        adoptions: adoptions.to_vec(),
-        stale_desired: stale_desired.cloned(),
+        tenants: run.states.iter().map(capture_tenant).collect(),
+        adoptions: run.adoptions.clone(),
+        stale_desired: run.stale_desired.clone(),
         ledger: coupled.map(|cs| cs.pool.ledger()),
         trace_fingerprints: coupled
             .map(|cs| cs.traces.iter().map(|t| t.fingerprint()).collect())
             .unwrap_or_default(),
-        chaos_calls: counter.map(|c| c.calls()),
-    }
-}
-
-fn capture_record(
-    epoch: usize,
-    states: &[TenantState<'_>],
-    marks: &[(usize, usize)],
-    new_adoptions: &[AdoptionRecord],
-    stale_desired: Option<&Vec<Vec<u64>>>,
-    coupled: Option<&CouplingState>,
-    counter: Option<&dyn CallCounter>,
-) -> JournalRecord {
-    JournalRecord {
-        epoch: epoch as u64,
-        tenants: states
-            .iter()
-            .zip(marks)
-            .map(|(state, &(costs_mark, plans_mark))| TenantDelta {
-                scalars: capture_scalars(state),
-                new_epoch_costs: state.epoch_costs[costs_mark..].to_vec(),
-                new_plans: state.known_order[plans_mark..]
-                    .iter()
-                    .map(|&rho| capture_plan(rho, &state.known[&rho]))
-                    .collect(),
-            })
-            .collect(),
-        new_adoptions: new_adoptions.to_vec(),
-        stale_desired: stale_desired.cloned(),
-        ledger: coupled.map(|cs| cs.pool.ledger()),
-        chaos_calls: counter.map(|c| c.calls()),
+        chaos_calls: fault_stream.map(|calls| calls.load(Ordering::SeqCst)),
     }
 }
 
@@ -679,24 +634,16 @@ fn capture_record(
 // Restore (persisted shapes → state)
 // ---------------------------------------------------------------------------
 
-/// A fully rebuilt run position, ready to continue the epoch loop.
-struct Restored<'a> {
-    states: Vec<TenantState<'a>>,
-    coupled: Option<CouplingState>,
-    adoptions: Vec<AdoptionRecord>,
-    stale_desired: Option<Vec<Vec<u64>>>,
-    start_epoch: usize,
-}
-
 impl FleetController {
     /// Rebuilds the per-tenant states from a checkpoint. `None` when the
     /// persisted state fails any validation — arity mismatches, a plan that
-    /// fails independent certification, non-finite timings — which sends
-    /// the caller down to the cold-restart rung.
+    /// fails independent certification, non-finite timings, an adoption
+    /// dated after the checkpoint itself — which sends the caller down to
+    /// the cold-restart rung.
     fn restore_states<'a>(
         &self,
+        ctx: &EpochCtx<'_>,
         tenants: &'a [TenantSpec],
-        env: &RunEnv,
         checkpoint: &Checkpoint,
     ) -> Option<Vec<TenantState<'a>>> {
         if checkpoint.tenants.len() != tenants.len() {
@@ -708,35 +655,56 @@ impl FleetController {
             let num_recipes = instance.num_recipes();
             let num_types = instance.num_types();
             let scalars = &snap.scalars;
-            if snap.initial_fractions.len() != num_recipes
-                || scalars.fractions.len() != num_recipes
-                || scalars.mix_fleet.len() != num_types
-                || scalars.mix_below.len() != num_types
-            {
+            let valid = snap.initial_fractions.len() == num_recipes
+                && scalars.fractions.len() == num_recipes
+                && scalars.mix_fleet.len() == num_types
+                && scalars.mix_below.len() == num_types
+                && scalars
+                    .last_failure_solve
+                    .as_ref()
+                    .is_none_or(|(_, c)| c.len() == num_types)
+                && scalars
+                    .prior
+                    .as_ref()
+                    .is_none_or(|p| p.split.len() == num_recipes)
+                // The current plan started renting at `adopted_epoch`, which
+                // the run has reached by construction; a later epoch would
+                // make keep-side projections bill a negative rental time.
+                && scalars.adopted_epoch as u64 <= checkpoint.epoch_next
+                && scalars
+                    .accounting
+                    .timing
+                    .seconds()
+                    .iter()
+                    .all(|s| s.is_finite() && *s >= 0.0);
+            if !valid {
                 return None;
             }
-            if let Some((_, caps)) = &scalars.last_failure_solve {
-                if caps.len() != num_types {
-                    return None;
-                }
-            }
-            if let Some(prior) = &scalars.prior {
-                if prior.split.len() != num_recipes {
-                    return None;
-                }
-            }
-            if scalars
-                .stage_seconds
-                .iter()
-                .any(|s| !s.is_finite() || *s < 0.0)
-            {
-                return None;
-            }
-            let scaler = FixedMixScaler::new(instance, &scalars.fractions, &env.scaling);
-            let mix =
-                FixedMixState::from_parts(scalars.mix_fleet.clone(), scalars.mix_below.clone());
-            let mut known = std::collections::HashMap::new();
-            let mut known_order = Vec::with_capacity(snap.plans.len());
+            let report = TenantReport {
+                name: spec.name.clone(),
+                initial_target: snap.initial_target,
+                epoch_costs: snap.epoch_costs.clone(),
+                ..scalars.accounting.clone()
+            };
+            let fractions = scalars.fractions.clone();
+            let mut state = TenantState {
+                initial_fractions: snap.initial_fractions.clone(),
+                mix: FixedMixState::from_parts(
+                    scalars.mix_fleet.clone(),
+                    scalars.mix_below.clone(),
+                ),
+                solved_target: scalars.solved_target,
+                adopted_epoch: scalars.adopted_epoch,
+                prior: scalars.prior.as_ref().map(|prior| SweepPrior {
+                    target: prior.target,
+                    split: ThroughputSplit::new(prior.split.clone()),
+                    lower_bound: prior.lower_bound,
+                }),
+                last_failure_solve: scalars.last_failure_solve.clone(),
+                deferred_until: scalars.deferred_until,
+                backoff: scalars.backoff,
+                ..TenantState::new(spec, self.policy.epoch, &ctx.env.scaling, fractions, report)
+            };
             for plan in &snap.plans {
                 if plan.shares.len() != num_recipes
                     || plan.machines.len() != num_types
@@ -755,7 +723,7 @@ impl FleetController {
                 // plan with the independent integer checker — in release
                 // builds too, unlike the debug assertions at adoption sites.
                 rental_solvers::certify_plan(instance, &solution, None).ok()?;
-                let cache = self.plan_cache(instance, &solution).ok()?;
+                let cache = ctx.plan_cache(instance, &solution).ok()?;
                 let outcome = SolverOutcome {
                     solution,
                     proven_optimal: plan.proven_optimal,
@@ -765,56 +733,9 @@ impl FleetController {
                     lp_iterations: plan.lp_iterations.map(|n| n as usize),
                     exhausted: plan.exhausted,
                 };
-                if known
-                    .insert(plan.rho, KnownPlan { outcome, cache })
-                    .is_none()
-                {
-                    known_order.push(plan.rho);
-                }
+                state.learn(plan.rho, KnownPlan { outcome, cache });
             }
-            states.push(TenantState {
-                spec,
-                peaks: spec.trace.epoch_peaks(self.policy.epoch),
-                granularity: instance.throughput_granularity(),
-                min_unit_cost: min_unit_cost(instance),
-                initial_fractions: snap.initial_fractions.clone(),
-                initial_target: snap.initial_target,
-                fractions: scalars.fractions.clone(),
-                scaler,
-                mix,
-                solved_target: scalars.solved_target,
-                adopted_epoch: scalars.adopted_epoch,
-                prior: scalars.prior.as_ref().map(|prior| SweepPrior {
-                    target: prior.target,
-                    split: ThroughputSplit::new(prior.split.clone()),
-                    lower_bound: prior.lower_bound,
-                }),
-                probe_cache: std::collections::HashMap::new(),
-                known,
-                known_order,
-                last_failure_solve: scalars.last_failure_solve.clone(),
-                deferred_until: scalars.deferred_until,
-                backoff: scalars.backoff,
-                rental_cost: scalars.rental_cost,
-                switching_cost: scalars.switching_cost,
-                epoch_costs: snap.epoch_costs.clone(),
-                probes: scalars.probes,
-                resolves: scalars.resolves,
-                adoptions: scalars.adoptions,
-                timing: StageTimes::from_seconds(scalars.stage_seconds),
-                effort: SolverEffort {
-                    solves: scalars.effort_solves,
-                    nodes: scalars.effort_nodes,
-                    lp_iterations: scalars.effort_lp_iterations,
-                },
-                slo_violations: scalars.slo_violations,
-                failure_resolves: scalars.failure_resolves,
-                degraded_resolves: scalars.degraded_resolves,
-                deferred_resolves: scalars.deferred_resolves,
-                budget_exhausted_epochs: scalars.budget_exhausted_epochs,
-                incumbent_adoptions: scalars.incumbent_adoptions,
-                resolve_retries: scalars.resolve_retries,
-            });
+            states.push(state);
         }
         Some(states)
     }
@@ -824,13 +745,13 @@ impl FleetController {
     /// `None` on fingerprint mismatch or a ledger that would over-grant.
     fn restore_coupling(
         &self,
+        ctx: &EpochCtx<'_>,
         tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        env: &RunEnv,
+        config: Option<&CapacityConfig>,
         checkpoint: &Checkpoint,
     ) -> Option<Option<CouplingState>> {
         match (
-            self.init_coupling(tenants, Some(config), env),
+            self.init_coupling(tenants, config, &ctx.env),
             &checkpoint.ledger,
         ) {
             (Some(mut coupling), Some(ledger)) => {
@@ -851,15 +772,16 @@ impl FleetController {
     /// snapshot plus consecutive journal replay. Any divergent or
     /// undecodable journal suffix is dropped and the journal rewritten to
     /// the applied prefix, so the resumed run appends onto consistent
-    /// ground. `Ok(None)` means nothing restorable — cold restart.
+    /// ground. Returns the restored run and the first epoch it still has to
+    /// execute; `Ok(None)` means nothing restorable — cold restart.
     fn try_restore<'a>(
         &self,
+        ctx: &EpochCtx<'_>,
         tenants: &'a [TenantSpec],
-        config: &CapacityConfig,
-        env: &RunEnv,
+        config: Option<&CapacityConfig>,
         store: &Store,
-        counter: Option<&dyn CallCounter>,
-    ) -> io::Result<Option<Restored<'a>>> {
+        fault_stream: Option<&AtomicU64>,
+    ) -> io::Result<Option<(RunState<'a>, usize)>> {
         let recovery = store.recover()?;
         let Some(snapshot) = recovery.snapshot else {
             return Ok(None);
@@ -895,213 +817,75 @@ impl FleetController {
                 store.append_journal(payload)?;
             }
         }
-        let Some(states) = self.restore_states(tenants, env, &checkpoint) else {
+        let Some(states) = self.restore_states(ctx, tenants, &checkpoint) else {
             return Ok(None);
         };
-        let Some(coupled) = self.restore_coupling(tenants, config, env, &checkpoint) else {
+        let Some(coupled) = self.restore_coupling(ctx, tenants, config, &checkpoint) else {
             return Ok(None);
         };
-        if let (Some(counter), Some(calls)) = (counter, checkpoint.chaos_calls) {
-            counter.set_calls(calls);
+        if let (Some(stream), Some(calls)) = (fault_stream, checkpoint.chaos_calls) {
+            stream.store(calls, Ordering::SeqCst);
         }
-        let start_epoch = checkpoint.epoch_next as usize;
-        Ok(Some(Restored {
+        let run = RunState {
             states,
             coupled,
             adoptions: checkpoint.adoptions,
             stale_desired: checkpoint.stale_desired,
-            start_epoch,
-        }))
+        };
+        Ok(Some((run, checkpoint.epoch_next as usize)))
     }
 
-    /// The persistent epoch loop shared by fresh and resumed runs.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_inner<S: CapacitySolver + Sync>(
+    /// Opens the store for a resumable run. On resume it climbs the
+    /// recovery ladder; on a fresh run — or the cold-restart rung — it
+    /// resets the store, solves the initial plans and snapshots them as
+    /// epoch 0. Returns the run position to continue from plus the
+    /// persistence hook.
+    pub(crate) fn open_store<'s, 'a>(
         &self,
-        solver: &S,
-        clock: Option<&ChaosClock<'_>>,
-        counter: Option<&dyn CallCounter>,
-        tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        store: &Store,
-        opts: &PersistOptions,
-        crash: Option<&CrashPlan>,
-        resume: bool,
-    ) -> PersistResult<RunOutcome> {
-        let env = self.run_env(Some(config));
-        let restored = if resume {
-            self.try_restore(tenants, config, &env, store, counter)?
+        ctx: &EpochCtx<'_>,
+        tenants: &'a [TenantSpec],
+        config: Option<&CapacityConfig>,
+        durable: Durable<'s>,
+        fault_stream: Option<&'s AtomicU64>,
+    ) -> PersistResult<(RunState<'a>, usize, Persistence<'s>)> {
+        let store = durable.store;
+        let restored = if durable.resume {
+            self.try_restore(ctx, tenants, config, store, fault_stream)?
         } else {
             None
         };
-        if let Some(r) = &restored {
-            self.telemetry.event(
-                EventKind::Recovery,
-                r.start_epoch,
-                None,
-                r.start_epoch as f64,
-                "resumed from checkpoint + journal replay",
-            );
-            // Recovery-ladder state for `/health`: which epoch this process
-            // resumed from (absent on never-recovered runs).
-            self.telemetry
-                .gauge("fleet.recovery.resumed_epoch", r.start_epoch as f64);
-        }
-        let (mut states, mut coupled, mut adoptions, mut stale_desired, start_epoch) =
-            match restored {
-                Some(r) => (
-                    r.states,
-                    r.coupled,
-                    r.adoptions,
-                    r.stale_desired,
-                    r.start_epoch,
-                ),
-                None => {
-                    // Fresh start, or the cold-restart rung: clean slate,
-                    // everything re-derived deterministically from configs.
-                    store.reset()?;
-                    let states = self.init_states(solver, tenants, &env)?;
-                    let coupled = self.init_coupling(tenants, Some(config), &env);
-                    let checkpoint =
-                        capture_checkpoint(0, &states, &[], None, coupled.as_ref(), counter);
-                    store.write_snapshot(0, &checkpoint.encode())?;
-                    (states, coupled, Vec::new(), None, 0)
-                }
-            };
-        let num_epochs = states.iter().map(|s| s.peaks.len()).max().unwrap_or(0);
-        // Epochs executed before the crash were timed by the killed process;
-        // their rows restore as zero. Timing is the masked field family, so
-        // the resumed report still matches the uninterrupted one.
-        let mut epoch_timing: Vec<StageTimes> = vec![StageTimes::zero(); start_epoch];
-        // The alert engine restarts empty on resume (alert state is
-        // operational, not certified plan state); the checkpoint watermark
-        // feeds the checkpoint-lag rule.
-        let mut alert_engine = self.alert_engine();
-        let mut last_checkpoint_epoch = start_epoch;
-        for epoch in start_epoch..num_epochs {
-            let mut epoch_times = StageTimes::zero();
-            let mut fanout = FanoutObs::default();
-            let epoch_wall = Instant::now();
-            let marks: Vec<(usize, usize)> = states
-                .iter()
-                .map(|s| (s.epoch_costs.len(), s.known_order.len()))
-                .collect();
-            let adoption_mark = adoptions.len();
-            self.epoch_step(
-                solver,
-                Some(solver),
-                epoch,
-                &mut states,
-                coupled.as_mut(),
-                clock,
-                &env,
-                &mut adoptions,
-                &mut stale_desired,
-                &mut epoch_times,
-                &mut fanout,
-            )?;
-            let record = capture_record(
-                epoch,
-                &states,
-                &marks,
-                &adoptions[adoption_mark..],
-                stale_desired.as_ref(),
-                coupled.as_ref(),
-                counter,
-            );
-            let payload = record.encode();
-            if let Some(plan) = crash.filter(|c| c.epoch == epoch) {
-                match plan.point {
-                    CrashPoint::BeforeJournal => {}
-                    CrashPoint::TornJournal { keep } => {
-                        store.append_journal_prefix(&payload, keep)?;
-                    }
-                    CrashPoint::AfterJournal => store.append_journal(&payload)?,
-                    CrashPoint::AfterSnapshot => {
-                        store.append_journal(&payload)?;
-                        let checkpoint = capture_checkpoint(
-                            (epoch + 1) as u64,
-                            &states,
-                            &adoptions,
-                            stale_desired.as_ref(),
-                            coupled.as_ref(),
-                            counter,
-                        );
-                        store.write_snapshot((epoch + 1) as u64, &checkpoint.encode())?;
-                    }
-                }
-                return Ok(RunOutcome::Crashed { epoch });
-            }
-            let persist_span = SpanTimer::start(Stage::Persist);
-            store.append_journal(&payload)?;
-            if opts.snapshot_every > 0 && (epoch + 1) % opts.snapshot_every == 0 {
-                let checkpoint = capture_checkpoint(
-                    (epoch + 1) as u64,
-                    &states,
-                    &adoptions,
-                    stale_desired.as_ref(),
-                    coupled.as_ref(),
-                    counter,
+        let (run, start_epoch) = match restored {
+            Some((run, start_epoch)) => {
+                self.telemetry.event(
+                    EventKind::Recovery,
+                    start_epoch,
+                    None,
+                    start_epoch as f64,
+                    "resumed from checkpoint + journal replay",
                 );
-                store.write_snapshot((epoch + 1) as u64, &checkpoint.encode())?;
-                last_checkpoint_epoch = epoch + 1;
+                // Recovery-ladder state for `/health`: which epoch this
+                // process resumed from (absent on never-recovered runs).
+                self.telemetry
+                    .gauge("fleet.recovery.resumed_epoch", start_epoch as f64);
+                (run, start_epoch)
             }
-            persist_span.stop_into(&mut epoch_times, self.telemetry.as_ref());
-            self.epoch_observe(
-                epoch,
-                epoch_wall.elapsed().as_secs_f64(),
-                &states,
-                &epoch_times,
-                &fanout,
-                alert_engine.as_mut(),
-                Some(last_checkpoint_epoch),
-            );
-            epoch_timing.push(epoch_times);
-        }
-        Ok(RunOutcome::Completed(self.finish(
-            states,
-            coupled.as_ref(),
-            adoptions,
-            num_epochs,
-            &env,
-            epoch_timing,
-        )))
-    }
-
-    /// Dispatches between the chaos-wrapped and plain solver paths.
-    #[allow(clippy::too_many_arguments)]
-    fn drive<S: CapacitySolver + Sync>(
-        &self,
-        solver: &S,
-        tenants: &[TenantSpec],
-        config: &CapacityConfig,
-        chaos: Option<ChaosConfig>,
-        store: &Store,
-        opts: &PersistOptions,
-        crash: Option<&CrashPlan>,
-        resume: bool,
-    ) -> PersistResult<RunOutcome> {
-        match chaos {
-            Some(chaos_config) => {
-                let stats = ChaosStats::default();
-                let wrapped = ChaosSolver::new(solver, chaos_config, tenants.len(), &stats);
-                let clock = ChaosClock::new(chaos_config, &stats);
-                self.drive_inner(
-                    &wrapped,
-                    Some(&clock),
-                    Some(&wrapped),
-                    tenants,
-                    config,
-                    store,
-                    opts,
-                    crash,
-                    resume,
-                )
+            None => {
+                // Fresh start, or the cold-restart rung: clean slate,
+                // everything re-derived deterministically from configs.
+                store.reset()?;
+                let run = self.init_run(ctx, tenants, config)?;
+                store.write_snapshot(0, &capture_checkpoint(0, &run, fault_stream).encode())?;
+                (run, 0)
             }
-            None => self.drive_inner(
-                solver, None, None, tenants, config, store, opts, crash, resume,
-            ),
-        }
+        };
+        let hook = Persistence {
+            durable,
+            fault_stream,
+            marks: Vec::new(),
+            adoption_mark: 0,
+            checkpoint_epoch: start_epoch,
+        };
+        Ok((run, start_epoch, hook))
     }
 
     /// [`FleetController::run_with_capacity`] with crash-safe persistence: a
@@ -1135,7 +919,13 @@ impl FleetController {
         opts: &PersistOptions,
         crash: Option<&CrashPlan>,
     ) -> PersistResult<RunOutcome> {
-        self.drive(solver, tenants, config, chaos, store, opts, crash, false)
+        let durable = Durable {
+            store,
+            opts: *opts,
+            crash: crash.copied(),
+            resume: false,
+        };
+        self.run_durable(solver, tenants, config, chaos, durable)
     }
 
     /// Resumes a killed [`FleetController::run_resumable`] from the store,
@@ -1164,13 +954,157 @@ impl FleetController {
         opts: &PersistOptions,
         crash: Option<&CrashPlan>,
     ) -> PersistResult<RunOutcome> {
-        self.drive(solver, tenants, config, chaos, store, opts, crash, true)
+        let durable = Durable {
+            store,
+            opts: *opts,
+            crash: crash.copied(),
+            resume: true,
+        };
+        self.run_durable(solver, tenants, config, chaos, durable)
+    }
+
+    /// The shared body of the two resumable entry points.
+    fn run_durable<S: CapacitySolver + Sync>(
+        &self,
+        solver: &S,
+        tenants: &[TenantSpec],
+        config: &CapacityConfig,
+        chaos: Option<ChaosConfig>,
+        durable: Durable<'_>,
+    ) -> PersistResult<RunOutcome> {
+        let stats = ChaosStats::default();
+        with_chaos(solver, chaos, tenants.len(), &stats, |warm, caps, chaos| {
+            self.execute(
+                warm,
+                Some(caps),
+                tenants,
+                Some(config),
+                chaos,
+                Some(durable),
+            )
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The end-of-epoch hook
+// ---------------------------------------------------------------------------
+
+/// Where and how a resumable run persists, as given to
+/// [`FleetController::run_resumable`] / [`FleetController::resume_from`].
+pub(crate) struct Durable<'s> {
+    store: &'s Store,
+    opts: PersistOptions,
+    crash: Option<CrashPlan>,
+    /// Climb the recovery ladder instead of starting fresh.
+    resume: bool,
+}
+
+/// The end-of-epoch persistence hook of the epoch loop: after every
+/// executed epoch it writes the epoch's journal record, strikes a planned
+/// crash, snapshots on cadence and tracks the checkpoint watermark.
+pub(crate) struct Persistence<'s> {
+    durable: Durable<'s>,
+    /// The chaos solver's fault-stream position, when the run is
+    /// chaos-wrapped.
+    fault_stream: Option<&'s AtomicU64>,
+    /// Per tenant, the epoch-cost and learned-plan counts when the running
+    /// epoch began: its journal record carries only what accrued since.
+    marks: Vec<(usize, usize)>,
+    adoption_mark: usize,
+    /// The epoch of the newest snapshot (the checkpoint-lag watermark).
+    pub(crate) checkpoint_epoch: usize,
+}
+
+impl Persistence<'_> {
+    /// Notes where the coming epoch's journal delta starts.
+    pub(crate) fn mark(&mut self, run: &RunState<'_>) {
+        self.marks.clear();
+        self.marks.extend(
+            run.states
+                .iter()
+                .map(|s| (s.report.epoch_costs.len(), s.known_order.len())),
+        );
+        self.adoption_mark = run.adoptions.len();
+    }
+
+    /// Persists an executed epoch: appends its journal record and, every
+    /// [`PersistOptions::snapshot_every`] epochs, a full snapshot (the
+    /// `persist` span). When the run's planned crash strikes this epoch the
+    /// write sequence stops at the crash point instead and `true` is
+    /// returned: the run must abort.
+    pub(crate) fn end_epoch(
+        &mut self,
+        epoch: &mut Epoch,
+        run: &RunState<'_>,
+        sink: &dyn TelemetrySink,
+    ) -> io::Result<bool> {
+        let (store, index) = (self.durable.store, epoch.index);
+        let payload = self.record(index, run).encode();
+        if let Some(plan) = self.durable.crash.filter(|c| c.epoch == index) {
+            match plan.point {
+                CrashPoint::BeforeJournal => {}
+                CrashPoint::TornJournal { keep } => {
+                    store.append_journal_prefix(&payload, keep)?;
+                }
+                CrashPoint::AfterJournal => store.append_journal(&payload)?,
+                CrashPoint::AfterSnapshot => {
+                    store.append_journal(&payload)?;
+                    self.snapshot(index + 1, run)?;
+                }
+            }
+            return Ok(true);
+        }
+        let persist_span = SpanTimer::start(Stage::Persist);
+        store.append_journal(&payload)?;
+        let every = self.durable.opts.snapshot_every;
+        if every > 0 && (index + 1) % every == 0 {
+            self.snapshot(index + 1, run)?;
+        }
+        persist_span.stop_into(&mut epoch.times, sink);
+        Ok(false)
+    }
+
+    /// The journal record of the epoch just executed: absolute scalars plus
+    /// everything accrued since [`Persistence::mark`].
+    fn record(&self, epoch: usize, run: &RunState<'_>) -> JournalRecord {
+        JournalRecord {
+            epoch: epoch as u64,
+            tenants: run
+                .states
+                .iter()
+                .zip(&self.marks)
+                .map(|(state, &(costs_mark, plans_mark))| TenantDelta {
+                    scalars: capture_scalars(state),
+                    new_epoch_costs: state.report.epoch_costs[costs_mark..].to_vec(),
+                    new_plans: state.known_order[plans_mark..]
+                        .iter()
+                        .map(|&rho| capture_plan(rho, &state.known[&rho]))
+                        .collect(),
+                })
+                .collect(),
+            new_adoptions: run.adoptions[self.adoption_mark..].to_vec(),
+            stale_desired: run.stale_desired.clone(),
+            ledger: run.coupled.as_ref().map(|cs| cs.pool.ledger()),
+            chaos_calls: self.fault_stream.map(|calls| calls.load(Ordering::SeqCst)),
+        }
+    }
+
+    /// Writes the full checkpoint a resume continues from at `epoch_next`.
+    fn snapshot(&mut self, epoch_next: usize, run: &RunState<'_>) -> io::Result<()> {
+        let checkpoint = capture_checkpoint(epoch_next as u64, run, self.fault_stream);
+        self.durable
+            .store
+            .write_snapshot(epoch_next as u64, &checkpoint.encode())?;
+        self.checkpoint_epoch = epoch_next;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::SolverEffort;
 
     /// A checkpoint with every field populated.
     fn checkpoint_fixture() -> Checkpoint {
@@ -1193,22 +1127,27 @@ mod tests {
                     last_failure_solve: Some((50, vec![4, 5, 6])),
                     deferred_until: 9,
                     backoff: 2,
-                    rental_cost: 123.25,
-                    switching_cost: 8.0,
-                    stage_seconds: [0.125, 0.0625, 1.5, 0.25, 0.03125],
-                    effort_solves: 4,
-                    effort_nodes: 950,
-                    effort_lp_iterations: 188,
-                    probes: 11,
-                    resolves: 3,
-                    adoptions: 2,
-                    slo_violations: 1,
-                    failure_resolves: 1,
-                    degraded_resolves: 0,
-                    deferred_resolves: 4,
-                    budget_exhausted_epochs: 1,
-                    incumbent_adoptions: 1,
-                    resolve_retries: 1,
+                    accounting: TenantReport {
+                        rental_cost: 123.25,
+                        switching_cost: 8.0,
+                        timing: StageTimes::from_seconds([0.125, 0.0625, 1.5, 0.25, 0.03125]),
+                        effort: SolverEffort {
+                            solves: 4,
+                            nodes: 950,
+                            lp_iterations: 188,
+                        },
+                        probes: 11,
+                        resolves: 3,
+                        adoptions: 2,
+                        slo_violation_epochs: 1,
+                        failure_resolves: 1,
+                        degraded_resolves: 0,
+                        deferred_resolves: 4,
+                        budget_exhausted_epochs: 1,
+                        incumbent_adoptions: 1,
+                        resolve_retries: 1,
+                        ..TenantReport::new(String::new(), 0)
+                    },
                 },
                 epoch_costs: vec![10.0, 12.5, -0.0],
                 plans: vec![PersistedPlan {
@@ -1251,7 +1190,7 @@ mod tests {
         let checkpoint = checkpoint_fixture();
         let tenant = checkpoint.tenants[0].clone();
         let mut scalars = tenant.scalars;
-        scalars.degraded_resolves = 2;
+        scalars.accounting.degraded_resolves = 2;
         let mut new_plans = tenant.plans;
         new_plans[0].exhausted = true;
         let mut new_adoptions = checkpoint.adoptions;
@@ -1374,6 +1313,69 @@ mod tests {
         );
     }
 
+    /// A checkpoint can be CRC-valid and still lie: a tenant that claims to
+    /// have adopted its plan after the checkpoint's own epoch would make the
+    /// keep-side projection bill a negative elapsed rental time. Resume must
+    /// reject it down the cold-restart rung, not panic at the next probe.
+    #[test]
+    fn future_adoption_epoch_cold_restarts() {
+        use crate::{FleetPolicy, PersistOptions};
+        use rental_core::examples::illustrating_example;
+        use rental_solvers::exact::IlpSolver;
+        use rental_stream::WorkloadTrace;
+
+        let tenants = vec![TenantSpec::new(
+            "diurnal",
+            illustrating_example(),
+            WorkloadTrace::diurnal(20.0, 160.0, 12.0, 3),
+        )];
+        let config = CapacityConfig::unconstrained();
+        let controller = FleetController::new(FleetPolicy {
+            switching_cost: 5.0,
+            ..FleetPolicy::default()
+        });
+        let solver = IlpSolver::new();
+        let reference = controller
+            .run_with_capacity(&solver, &tenants, &config)
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "rental-fleet-future-adoption-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let opts = PersistOptions::default();
+        let crash = CrashPlan {
+            epoch: 3,
+            point: CrashPoint::AfterSnapshot,
+        };
+        let outcome = controller
+            .run_resumable(
+                &solver,
+                &tenants,
+                &config,
+                None,
+                &store,
+                &opts,
+                Some(&crash),
+            )
+            .unwrap();
+        assert!(matches!(outcome, RunOutcome::Crashed { epoch: 3 }));
+        let snapshot = store.recover().unwrap().snapshot.expect("snapshot");
+        let mut checkpoint = Checkpoint::decode(&snapshot.payload).unwrap();
+        checkpoint.tenants[0].scalars.adopted_epoch = checkpoint.epoch_next as usize + 1000;
+        store
+            .write_snapshot(snapshot.epoch, &checkpoint.encode())
+            .unwrap();
+        let resumed = controller
+            .resume_from(&solver, &tenants, &config, None, &store, &opts, None)
+            .unwrap()
+            .completed()
+            .expect("resume completes");
+        assert!(resumed.matches_modulo_timing(&reference));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     fn blank_scalars() -> ScalarState {
         ScalarState {
             fractions: vec![1.0],
@@ -1385,22 +1387,7 @@ mod tests {
             last_failure_solve: None,
             deferred_until: 0,
             backoff: 0,
-            rental_cost: 0.0,
-            switching_cost: 0.0,
-            stage_seconds: [0.0; Stage::COUNT],
-            effort_solves: 0,
-            effort_nodes: 0,
-            effort_lp_iterations: 0,
-            probes: 0,
-            resolves: 0,
-            adoptions: 0,
-            slo_violations: 0,
-            failure_resolves: 0,
-            degraded_resolves: 0,
-            deferred_resolves: 0,
-            budget_exhausted_epochs: 0,
-            incumbent_adoptions: 0,
-            resolve_retries: 0,
+            accounting: TenantReport::new(String::new(), 0),
         }
     }
 }

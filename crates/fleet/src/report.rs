@@ -156,6 +156,35 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
+    /// The report a tenant opens its run with: identity set, every cost,
+    /// counter and baseline zero. The controller accumulates into it epoch
+    /// by epoch, and fills in only the baselines when the run finishes.
+    pub(crate) fn new(name: String, initial_target: Throughput) -> Self {
+        TenantReport {
+            name,
+            initial_target,
+            rental_cost: 0.0,
+            switching_cost: 0.0,
+            epoch_costs: Vec::new(),
+            probes: 0,
+            resolves: 0,
+            adoptions: 0,
+            timing: StageTimes::zero(),
+            effort: SolverEffort::default(),
+            static_peak_cost: 0.0,
+            fixed_mix_cost: 0.0,
+            static_headroom_cost: 0.0,
+            static_headroom_violations: 0,
+            slo_violation_epochs: 0,
+            failure_resolves: 0,
+            degraded_resolves: 0,
+            deferred_resolves: 0,
+            budget_exhausted_epochs: 0,
+            incumbent_adoptions: 0,
+            resolve_retries: 0,
+        }
+    }
+
     /// Total cost of serving this tenant (rental plus switching charges).
     pub fn total_cost(&self) -> f64 {
         self.rental_cost + self.switching_cost
