@@ -4,13 +4,14 @@
 //! a per-epoch branch-and-bound node budget, split across each epoch's
 //! batched re-solves.
 //!
-//! * `fleet_deadline/nodes-N` times a full run of the 8-tenant
-//!   diurnal+spike scenario at each budget tier (plus the unlimited tier).
-//! * The harness then runs the same sweep once more as the acceptance
-//!   check and writes `BENCH_fleet_deadline.json`. The floors asserted
-//!   here are the ISSUE-6 acceptance criteria:
+//! * `fleet_deadline/nodes-N` times the `fleet_deadline` experiment lane on
+//!   the 8-tenant diurnal+spike scenario at each budget tier of its default
+//!   sweep (`nodes-0` is the unlimited tier).
+//! * The harness then runs the whole sweep once more as the acceptance
+//!   check and writes `BENCH_fleet_deadline.json`: the lane's rows plus a
+//!   floors row. The floors asserted here:
 //!   - the **unlimited** tier is bit-identical to the budget-free
-//!     controller (same bill, same adoption trail);
+//!     `fleet` lane on the same scenario (same bill, same adoption trail);
 //!   - every budgeted tier stays within **5%** of the proven-optimal
 //!     bill, the mid tier within **3%** — graceful degradation, not
 //!     collapse;
@@ -23,103 +24,77 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_experiments::{run_fleet_deadline_experiment, FleetDeadlineSpec};
-use rental_fleet::{diurnal_spike_fleet, FleetController, ACCEPTANCE_SEED};
-use rental_solvers::exact::IlpSolver;
-use rental_solvers::SolveBudget;
+use rental_bench::write_bench_json;
+use rental_experiments::{
+    fleet_deadline_json, fleet_deadline_markdown, run_fleet_deadline_experiment,
+    run_fleet_experiment, FleetDeadlineSpec, FleetExperimentSpec,
+};
 
-const NUM_TENANTS: usize = 8;
-const NODE_BUDGETS: [Option<usize>; 4] = [Some(8), Some(64), Some(2_000), None];
+/// Ceiling on every tier's cost over the unlimited tier.
+const MAX_COST_RATIO: f64 = 1.05;
 /// The mid tier pinned to the tighter 3% floor.
 const MID_TIER: usize = 64;
+const MID_TIER_MAX_COST_RATIO: f64 = 1.03;
 /// The tight tier that must visibly exercise the anytime ladder.
 const TIGHT_TIER: usize = 8;
 
 fn bench_fleet_deadline(c: &mut Criterion) {
-    let solver = IlpSolver::new();
+    let sweep = FleetDeadlineSpec::default();
 
     let mut group = c.benchmark_group("fleet_deadline");
     group.sample_size(10);
-    for &node_budget in &NODE_BUDGETS {
-        let scenario = diurnal_spike_fleet(NUM_TENANTS, ACCEPTANCE_SEED);
-        let mut policy = scenario.policy;
-        policy.epoch_budget = node_budget.map(SolveBudget::with_node_cap);
-        let controller = FleetController::new(policy);
+    for &node_budget in &sweep.node_budgets {
+        let spec = FleetDeadlineSpec {
+            node_budgets: vec![node_budget],
+            ..sweep.clone()
+        };
         group.bench_with_input(
             BenchmarkId::new("nodes", node_budget.map_or(0, |n| n as u64)),
-            &scenario,
-            |b, scenario| {
-                b.iter(|| {
-                    controller
-                        .run(&solver, black_box(&scenario.tenants))
-                        .unwrap()
-                        .total_cost()
-                })
-            },
+            &spec,
+            |b, spec| b.iter(|| run_fleet_deadline_experiment(black_box(spec)).unwrap()),
         );
     }
     group.finish();
 
-    // ------------------------------------------------------------------
-    // The budget-sweep acceptance check, summarised into
-    // BENCH_fleet_deadline.json.
-    // ------------------------------------------------------------------
-    let spec = FleetDeadlineSpec {
-        num_tenants: NUM_TENANTS,
-        seed: ACCEPTANCE_SEED,
-        node_budgets: NODE_BUDGETS.to_vec(),
-        threads: None,
-    };
-    let table = run_fleet_deadline_experiment(&spec).expect("the deadline sweep solves");
-    let unlimited = table
-        .unlimited_cost()
-        .expect("the sweep includes the unlimited tier");
+    let table = run_fleet_deadline_experiment(&sweep).expect("the deadline sweep solves");
+    print!("{}", fleet_deadline_markdown(&table));
 
     // Floor 1: the unlimited tier is bit-identical to the budget-free run.
-    let plain_scenario = diurnal_spike_fleet(NUM_TENANTS, ACCEPTANCE_SEED);
-    let plain = FleetController::new(plain_scenario.policy)
-        .run(&solver, &plain_scenario.tenants)
-        .expect("the plain scenario solves");
+    let unlimited = table
+        .rows
+        .iter()
+        .find(|row| row.node_budget.is_none())
+        .expect("the sweep includes the unlimited tier");
+    let plain = run_fleet_experiment(&FleetExperimentSpec {
+        num_tenants: sweep.num_tenants,
+        seed: sweep.seed,
+        threads: sweep.threads,
+    })
+    .expect("the budget-free scenario solves")
+    .report;
     assert_eq!(
         plain.total_cost(),
-        unlimited,
+        unlimited.report.total_cost(),
         "an unlimited epoch budget must not change the bill"
     );
     assert_eq!(
         plain.adoptions.len(),
-        table
-            .rows
-            .iter()
-            .find(|row| row.node_budget.is_none())
-            .map(|row| row.report.adoptions.len())
-            .unwrap(),
+        unlimited.report.adoptions.len(),
         "an unlimited epoch budget must not change the adoption trail"
     );
 
-    let mut rows = Vec::new();
     for row in &table.rows {
         let report = &row.report;
         let ratio = table.cost_ratio(row);
-        println!(
-            "fleet_deadline summary (nodes {}): fleet {:.0} ({:.3}x unlimited); {} incumbent \
-             adoptions, {} exhausted epochs, {} deferred, {} retries",
-            row.label(),
-            report.total_cost(),
-            ratio,
-            report.incumbent_adoptions(),
-            report.budget_exhausted_epochs(),
-            report.deferred_resolves(),
-            report.resolve_retries(),
-        );
         // Floor 2: graceful degradation — no tier collapses the bill.
         assert!(
-            ratio <= 1.05,
+            ratio <= MAX_COST_RATIO,
             "nodes {}: an epoch budget may cost at most 5% over proven-optimal, got {ratio:.4}",
             row.label()
         );
         if row.node_budget == Some(MID_TIER) {
             assert!(
-                ratio <= 1.03,
+                ratio <= MID_TIER_MAX_COST_RATIO,
                 "nodes {MID_TIER}: the mid tier must stay within 3% of proven-optimal, got \
                  {ratio:.4}"
             );
@@ -135,29 +110,20 @@ fn bench_fleet_deadline(c: &mut Criterion) {
                 "nodes {TIGHT_TIER}: the tight tier must adopt anytime incumbents"
             );
         }
-        rows.push(format!(
-            "    {{\n      \"node_budget\": {},\n      \"fleet_cost\": {:.2},\n      \
-             \"cost_ratio_vs_unlimited\": {ratio:.4},\n      \"incumbent_adoptions\": {},\n      \
-             \"budget_exhausted_epochs\": {},\n      \"deferred_resolves\": {},\n      \
-             \"resolve_retries\": {}\n    }}",
-            row.node_budget
-                .map_or_else(|| "null".to_string(), |n| n.to_string()),
-            report.total_cost(),
-            report.incumbent_adoptions(),
-            report.budget_exhausted_epochs(),
-            report.deferred_resolves(),
-            report.resolve_retries(),
-        ));
     }
-
-    let json = format!(
-        "{{\n  \"scenario\": \"diurnal-spike-{NUM_TENANTS}-deadline\",\n  \"tenants\": \
-         {NUM_TENANTS},\n  \"unlimited_cost\": {unlimited:.2},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+    write_bench_json(
+        "BENCH_fleet_deadline.json",
+        &fleet_deadline_json(&table),
+        |floors| {
+            floors
+                .bool("unlimited_matches_budget_free", true)
+                .f64("max_cost_ratio", MAX_COST_RATIO)
+                .usize("mid_tier", MID_TIER)
+                .f64("mid_tier_max_cost_ratio", MID_TIER_MAX_COST_RATIO)
+                .usize("tight_tier", TIGHT_TIER)
+                .bool("tight_tier_exercises_ladder", true)
+        },
     );
-    std::fs::write("BENCH_fleet_deadline.json", &json)
-        .expect("BENCH_fleet_deadline.json is writable");
-    println!("wrote BENCH_fleet_deadline.json");
 }
 
 criterion_group! {

@@ -7,41 +7,31 @@
 //!   fleet** (`scaling_fleet`: tiny instances, probe-every-epoch traces, a
 //!   prohibitive switching cost — pure epoch-loop work after the init
 //!   solves) at 1k, 4k and 16k tenants under the auto shard policy. A tight
-//!   sample/warm-up budget keeps the 16k lane inside CI time; the full
-//!   acceptance scenario is **not** re-run inside `b.iter`.
-//! * The harness then measures **tenant-epochs/sec** — the headline scaling
-//!   metric — for the sequential (`shards: Some(1)`) and sharded
-//!   (`shards: None`, auto) epoch loops at each fleet size, by subtracting
-//!   a one-epoch run's wall time from the full run's (both share the same
-//!   init solve fan-out, so the difference is the epoch loop alone). It
-//!   writes `BENCH_fleet_scaling.json` and enforces the floors: sharded
-//!   reports bit-identical (modulo timing) to sequential at shard counts
-//!   {1, 2, 4, 8}, and sharded ≥ 3× sequential tenant-epochs/sec at 4k
-//!   tenants when the host has ≥ 4 cores.
-//! * Finally the harness runs the 16-tenant **acceptance scenario** (the
-//!   same seed as the `fleet_regression` test) and writes `BENCH_fleet.json`
-//!   with the same headline numbers as before — total cost vs the fixed-mix
-//!   autoscale baseline, resolve fraction, probe-vs-solve time split.
+//!   sample/warm-up budget keeps the 16k lane inside CI time.
+//! * The harness then runs the `fleet_scale` experiment lane over the same
+//!   sizes — **tenant-epochs/sec** of the sequential and sharded epoch
+//!   loops — and writes its rows to `BENCH_fleet_scaling.json` with a
+//!   floors row. Floors: sharded reports bit-identical (modulo timing) to
+//!   sequential at shard counts {1, 2, 4, 8}, and sharded ≥ 3× sequential
+//!   tenant-epochs/sec at 4k tenants when the host has ≥ 4 cores.
+//! * Finally the harness runs the `fleet` lane on the 16-tenant
+//!   **acceptance scenario** (the seed of the `fleet_regression` test) and
+//!   writes its rows to `BENCH_fleet.json`. Floors: total cost below the
+//!   fixed-mix autoscale baseline, resolve fraction below one half.
 //!
 //! Set `FLEET_SCALING_SMOKE=1` to restrict the sweep to the 1k-tenant lane
 //! (the CI smoke configuration); the determinism floor still runs there.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use std::time::Instant;
 
-use rental_fleet::{
-    diurnal_spike_fleet, scaling_fleet, scaling_fleet_one_epoch, FleetController, FleetPolicy,
-    FleetReport, ACCEPTANCE_SEED, SCALING_EPOCHS,
+use rental_bench::write_bench_json;
+use rental_experiments::{
+    fleet_json, fleet_markdown, fleet_scale_json, fleet_scale_markdown, run_fleet_experiment,
+    run_fleet_scale_experiment, FleetExperimentSpec, FleetScaleSpec,
 };
+use rental_fleet::{scaling_fleet, FleetController};
 use rental_solvers::exact::IlpSolver;
-
-/// The seed shared with `crates/fleet/tests/fleet_regression.rs`.
-const SCENARIO_SEED: u64 = ACCEPTANCE_SEED;
-
-/// Seed of the controller-scaling sweep (independent of the acceptance
-/// scenario so the two never constrain each other).
-const SCALING_SEED: u64 = 0x5CA1E5;
 
 /// Shard counts every fleet report must be bit-identical across.
 const DETERMINISM_SHARDS: [usize; 4] = [1, 2, 4, 8];
@@ -51,60 +41,39 @@ const DETERMINISM_SHARDS: [usize; 4] = [1, 2, 4, 8];
 const SPEEDUP_FLOOR: f64 = 3.0;
 const MIN_CORES_FOR_FLOOR: usize = 4;
 
+/// Ceiling on the acceptance scenario's re-solved share of tenant-epochs.
+const MAX_RESOLVE_FRACTION: f64 = 0.5;
+
 fn smoke() -> bool {
     std::env::var("FLEET_SCALING_SMOKE").is_ok_and(|v| v == "1")
 }
 
-fn sweep_sizes() -> &'static [usize] {
+fn sweep_sizes() -> Vec<usize> {
     if smoke() {
-        &[1000]
+        vec![1000]
     } else {
-        &[1000, 4000, 16000]
+        vec![1000, 4000, 16000]
     }
 }
 
-fn run_scaling(
-    solver: &IlpSolver,
-    tenants: &[rental_fleet::TenantSpec],
-    policy: FleetPolicy,
-) -> FleetReport {
-    FleetController::new(policy)
-        .run(solver, tenants)
-        .expect("the scaling fleet solves")
-}
-
-/// Wall seconds of one full run, minimum over `trials`.
-fn time_run(
-    solver: &IlpSolver,
-    tenants: &[rental_fleet::TenantSpec],
-    policy: FleetPolicy,
-    trials: usize,
-) -> f64 {
-    (0..trials.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            black_box(run_scaling(solver, tenants, policy));
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn bench_fleet_scaling(c: &mut Criterion) {
-    let solver = IlpSolver::new();
+    let sweep = FleetScaleSpec {
+        sizes: sweep_sizes(),
+        ..FleetScaleSpec::default()
+    };
 
-    // ------------------------------------------------------------------
-    // Criterion lanes: one full scaling-fleet run per fleet size under the
-    // auto shard policy. The sample/warm-up budget is deliberately tiny —
-    // a 16k run takes seconds, so re-running it tens of times would blow
-    // the CI budget for no extra signal.
-    // ------------------------------------------------------------------
+    // One full scaling-fleet run per fleet size under the auto shard
+    // policy. The sample/warm-up budget is deliberately tiny — a 16k run
+    // takes seconds, so re-running it tens of times would blow the CI
+    // budget for no extra signal.
+    let solver = IlpSolver::new();
     let mut group = c.benchmark_group("fleet_scaling");
     group
         .sample_size(2)
         .warm_up_time(std::time::Duration::from_millis(1))
         .measurement_time(std::time::Duration::from_secs(2));
-    for &tenants in sweep_sizes() {
-        let scenario = scaling_fleet(tenants, SCALING_SEED);
+    for &tenants in &sweep.sizes {
+        let scenario = scaling_fleet(tenants, sweep.seed);
         let controller = FleetController::new(scenario.policy);
         group.bench_with_input(
             BenchmarkId::new("run", tenants),
@@ -121,167 +90,82 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // ------------------------------------------------------------------
     // Tenant-epochs/sec sweep: sequential vs sharded epoch loops.
-    // ------------------------------------------------------------------
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut lanes = Vec::new();
-    for &tenants in sweep_sizes() {
-        let full = scaling_fleet(tenants, SCALING_SEED);
-        let one = scaling_fleet_one_epoch(tenants, SCALING_SEED);
-        let seq_policy = FleetPolicy {
-            shards: Some(1),
-            ..full.policy
-        };
-        let sharded_policy = FleetPolicy {
-            shards: None,
-            ..full.policy
-        };
-        let shards_used = sharded_policy.shard_count(tenants);
-        let trials = if tenants >= 16_000 { 1 } else { 2 };
-        let loop_epochs = (SCALING_EPOCHS - 1) as f64;
-        // Subtract the one-epoch run (identical init fan-out, single tick)
-        // so the quotient is the epoch loop alone, not the init solves.
-        let seq_loop = (time_run(&solver, &full.tenants, seq_policy, trials)
-            - time_run(&solver, &one.tenants, seq_policy, trials))
-        .max(1e-9);
-        let sharded_loop = (time_run(&solver, &full.tenants, sharded_policy, trials)
-            - time_run(&solver, &one.tenants, sharded_policy, trials))
-        .max(1e-9);
-        let seq_teps = tenants as f64 * loop_epochs / seq_loop;
-        let sharded_teps = tenants as f64 * loop_epochs / sharded_loop;
-        let speedup = sharded_teps / seq_teps;
-        println!(
-            "fleet_scaling sweep: {tenants} tenants, {shards_used} shard(s) — \
-             sequential {seq_teps:.0} tenant-epochs/s, sharded {sharded_teps:.0} \
-             tenant-epochs/s ({speedup:.2}x)",
+    let table = run_fleet_scale_experiment(&sweep).expect("the scaling fleet solves");
+    print!("{}", fleet_scale_markdown(&table));
+    assert!(
+        table.all_deterministic(),
+        "determinism floor: a sharded report diverged from the sequential run"
+    );
+    let speedup_enforced = !smoke() && table.cores >= MIN_CORES_FOR_FLOOR;
+    if speedup_enforced {
+        let row = table
+            .rows
+            .iter()
+            .find(|row| row.tenants == 4000)
+            .expect("the full sweep has a 4k lane");
+        let speedup = row
+            .speedup()
+            .expect("auto-sharding picks several shards at 4k tenants on >= 4 cores");
+        assert!(
+            speedup >= SPEEDUP_FLOOR,
+            "scaling floor: sharded must reach {SPEEDUP_FLOOR}x sequential tenant-epochs/sec \
+             at 4k tenants on >= {MIN_CORES_FOR_FLOOR} cores (got {speedup:.2}x on {} cores)",
+            table.cores
         );
-        if tenants == 4000 && cores >= MIN_CORES_FOR_FLOOR {
-            assert!(
-                speedup >= SPEEDUP_FLOOR,
-                "scaling floor: sharded must reach {SPEEDUP_FLOOR}x sequential \
-                 tenant-epochs/sec at 4k tenants on >= {MIN_CORES_FOR_FLOOR} cores \
-                 (got {speedup:.2}x on {cores} cores)"
-            );
-        }
-        lanes.push((tenants, shards_used, seq_teps, sharded_teps, speedup));
     }
 
     // Determinism floor, on the smallest lane (cheap, and the property is
     // size-independent): the report must be bit-identical modulo the
     // timing family at every shard count.
-    let det_tenants = sweep_sizes()[0];
-    let det = scaling_fleet(det_tenants, SCALING_SEED);
-    let reference = run_scaling(
-        &solver,
-        &det.tenants,
-        FleetPolicy {
-            shards: Some(1),
-            ..det.policy
-        },
-    );
+    let det_tenants = sweep.sizes[0];
     for &shards in &DETERMINISM_SHARDS[1..] {
-        let report = run_scaling(
-            &solver,
-            &det.tenants,
-            FleetPolicy {
-                shards: Some(shards),
-                ..det.policy
-            },
-        );
+        let det = run_fleet_scale_experiment(&FleetScaleSpec {
+            sizes: vec![det_tenants],
+            shards: Some(shards),
+            trials: 1,
+            ..sweep.clone()
+        })
+        .expect("the scaling fleet solves");
         assert!(
-            reference.matches_modulo_timing(&report),
-            "determinism floor: the {shards}-shard report must be bit-identical \
-             (modulo timing) to the sequential run at {det_tenants} tenants"
+            det.all_deterministic(),
+            "determinism floor: the {shards}-shard report must be bit-identical (modulo \
+             timing) to the sequential run at {det_tenants} tenants"
         );
     }
-    println!(
-        "fleet_scaling determinism: reports bit-identical across shard counts \
-         {DETERMINISM_SHARDS:?} at {det_tenants} tenants"
+    write_bench_json(
+        "BENCH_fleet_scaling.json",
+        &fleet_scale_json(&table),
+        |floors| {
+            floors
+                .bool("smoke", smoke())
+                .usize("determinism_tenants", det_tenants)
+                .raw("determinism_shard_counts", "[1,2,4,8]")
+                .bool("determinism_enforced", true)
+                .f64("speedup_at_4k_min", SPEEDUP_FLOOR)
+                .usize("speedup_min_cores", MIN_CORES_FOR_FLOOR)
+                .bool("speedup_enforced", speedup_enforced)
+        },
     );
 
-    let lanes_json: Vec<String> = lanes
-        .iter()
-        .map(|&(tenants, shards, seq, sharded, speedup)| {
-            format!(
-                "    {{\"tenants\": {tenants}, \"shards\": {shards}, \
-                 \"seq_tenant_epochs_per_sec\": {seq:.0}, \
-                 \"sharded_tenant_epochs_per_sec\": {sharded:.0}, \
-                 \"speedup\": {speedup:.3}}}"
-            )
-        })
-        .collect();
-    let speedup_enforced = !smoke() && cores >= MIN_CORES_FOR_FLOOR;
-    let json = format!(
-        "{{\n  \"scenario\": \"scaling\",\n  \"epochs\": {},\n  \"cores\": {cores},\n  \
-         \"smoke\": {},\n  \"lanes\": [\n{}\n  ],\n  \
-         \"determinism\": {{\"tenants\": {det_tenants}, \"shard_counts\": [1, 2, 4, 8], \
-         \"bit_identical\": true}},\n  \
-         \"floors\": {{\"speedup_at_4k_min\": {SPEEDUP_FLOOR}, \
-         \"speedup_enforced\": {speedup_enforced}, \"determinism_enforced\": true}}\n}}\n",
-        SCALING_EPOCHS,
-        smoke(),
-        lanes_json.join(",\n"),
-    );
-    std::fs::write("BENCH_fleet_scaling.json", &json)
-        .expect("BENCH_fleet_scaling.json is writable");
-    println!("wrote BENCH_fleet_scaling.json");
-
-    // ------------------------------------------------------------------
-    // The acceptance scenario, summarised into BENCH_fleet.json.
-    // ------------------------------------------------------------------
-    let scenario = diurnal_spike_fleet(16, SCENARIO_SEED);
-    let report = FleetController::new(scenario.policy)
-        .run(&solver, &scenario.tenants)
+    // The 16-tenant acceptance scenario.
+    let fleet = run_fleet_experiment(&FleetExperimentSpec::default())
         .expect("the acceptance scenario solves");
-    let switching: f64 = report.tenants.iter().map(|t| t.switching_cost).sum();
-    println!(
-        "fleet_scaling summary ({}): fleet {:.0} (incl. {:.0} switching) vs fixed-mix {:.0} \
-         ({:.1}% saved) vs static-peak {:.0}; {}/{} tenant-epochs re-solved ({:.1}%); \
-         probe {:.2} ms vs solve {:.1} ms",
-        scenario.name,
-        report.total_cost(),
-        switching,
-        report.fixed_mix_cost(),
-        100.0 * report.savings_vs_fixed_mix() / report.fixed_mix_cost(),
-        report.static_peak_cost(),
-        report.resolved_tenant_epochs(),
-        report.tenant_epochs(),
-        100.0 * report.resolve_fraction(),
-        1e3 * report.probe_seconds(),
-        1e3 * report.solve_seconds(),
-    );
+    print!("{}", fleet_markdown(&fleet));
+    let report = &fleet.report;
     assert!(
         report.total_cost() < report.fixed_mix_cost(),
         "acceptance: re-solving must beat the fixed-mix baseline"
     );
     assert!(
-        report.resolve_fraction() < 0.5,
+        report.resolve_fraction() < MAX_RESOLVE_FRACTION,
         "acceptance: only a minority of tenant-epochs may re-solve"
     );
-
-    let json = format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"tenants\": {},\n  \"epochs\": {},\n  \
-         \"fleet_cost\": {:.2},\n  \"switching_cost\": {switching:.2},\n  \
-         \"fixed_mix_cost\": {:.2},\n  \"static_peak_cost\": {:.2},\n  \
-         \"savings_vs_fixed_mix\": {:.2},\n  \"tenant_epochs\": {},\n  \
-         \"resolved_tenant_epochs\": {},\n  \"resolve_fraction\": {:.4},\n  \
-         \"probe_secs\": {:.6},\n  \"solve_secs\": {:.6}\n}}\n",
-        scenario.name,
-        report.tenants.len(),
-        report.epochs,
-        report.total_cost(),
-        report.fixed_mix_cost(),
-        report.static_peak_cost(),
-        report.savings_vs_fixed_mix(),
-        report.tenant_epochs(),
-        report.resolved_tenant_epochs(),
-        report.resolve_fraction(),
-        report.probe_seconds(),
-        report.solve_seconds(),
-    );
-    std::fs::write("BENCH_fleet.json", &json).expect("BENCH_fleet.json is writable");
-    println!("wrote BENCH_fleet.json");
+    write_bench_json("BENCH_fleet.json", &fleet_json(&fleet), |floors| {
+        floors
+            .bool("fleet_cost_below_fixed_mix", true)
+            .f64("resolve_fraction_max", MAX_RESOLVE_FRACTION)
+    });
 }
 
 criterion_group! {

@@ -12,15 +12,17 @@
 //! to agree on status and objective before timing.
 //!
 //! Besides the criterion output, the harness writes `BENCH_lp_large.json`
-//! and **fails** when the sparse path drops below a conservative speedup
-//! floor versus the dense-LU baseline recorded in the same run — CI runs
-//! this bench, so a fill-in or hyper-sparsity regression turns the build
-//! red instead of silently eating the speedup.
+//! (the lane's `lp_large_rows_json` rows plus a floors row) and **fails**
+//! when the sparse path drops below a conservative speedup floor versus the
+//! dense-LU baseline recorded in the same run — CI runs this bench, so a
+//! fill-in or hyper-sparsity regression turns the build red instead of
+//! silently eating the speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_experiments::{lp_large_json, lp_large_markdown, run_lp_large, LpLargeSpec};
+use rental_bench::write_bench_json;
+use rental_experiments::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeSpec};
 use rental_lp::revised::RevisedLp;
 use rental_lp::simplex::SimplexOptions;
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
@@ -33,6 +35,8 @@ const REFACTOR_SPEEDUP_FLOOR: f64 = 2.0;
 /// Conservative CI floor on the end-to-end solve speedup at m ≥ 512
 /// (expected ≥ 2x).
 const SOLVE_SPEEDUP_FLOOR: f64 = 1.2;
+/// Smallest row count the floors apply to.
+const FLOOR_MIN_ROWS: usize = 512;
 
 fn bench_lp_large(c: &mut Criterion) {
     // m = 512 with full rounds, m = 1024 with fewer (its dense baseline is
@@ -67,13 +71,20 @@ fn bench_lp_large(c: &mut Criterion) {
         );
     }
 
-    let json = lp_large_json(&rows, REFACTOR_SPEEDUP_FLOOR, SOLVE_SPEEDUP_FLOOR);
-    std::fs::write("BENCH_lp_large.json", &json).expect("BENCH_lp_large.json is writable");
-    println!("wrote BENCH_lp_large.json");
+    write_bench_json(
+        "BENCH_lp_large.json",
+        &lp_large_rows_json(&rows),
+        |floors| {
+            floors
+                .usize("min_rows", FLOOR_MIN_ROWS)
+                .f64("refactor_speedup", REFACTOR_SPEEDUP_FLOOR)
+                .f64("solve_speedup", SOLVE_SPEEDUP_FLOOR)
+        },
+    );
 
     // The speedup floors: every m ≥ 512 row must clear them.
     for row in &rows {
-        if row.rows < 512 {
+        if row.rows < FLOOR_MIN_ROWS {
             continue;
         }
         assert!(

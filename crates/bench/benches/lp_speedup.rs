@@ -11,19 +11,21 @@
 //!   threading via `solve_sweep`) against cold per-target ILP solves on a
 //!   fine-grained Table III sweep.
 //!
-//! Besides the criterion output, the harness writes a `BENCH_lp.json`
-//! summary (pivots/sec for both engines, the speedup ratio, and cold vs warm
-//! node counts) for CI logs and regression tracking.
+//! Besides the criterion output, the harness writes `BENCH_lp.json`, one
+//! JSON line per relaxation (pivots/sec for both engines, the speedup
+//! ratio), one for the sweep (cold vs warm node counts) and a floors row,
+//! for CI logs and regression tracking.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_bench::fixture;
+use rental_bench::{fixture, write_bench_json};
 use rental_core::examples::illustrating_example;
 use rental_lp::model::Model;
 use rental_lp::simplex::{self, dense, SimplexOptions};
+use rental_obs::json::JsonRow;
 use rental_simgen::GeneratorConfig;
 use rental_solvers::batch::solve_sweep;
 use rental_solvers::exact::IlpSolver;
@@ -56,7 +58,7 @@ fn measure(mut solve: impl FnMut() -> usize, rounds: usize) -> (f64, usize) {
 
 fn bench_relaxation_engines(c: &mut Criterion) {
     let options = SimplexOptions::default();
-    let mut json_rows = Vec::new();
+    let mut json_rows = String::new();
 
     let mut group = c.benchmark_group("lp_speedup");
     group.sample_size(10);
@@ -114,11 +116,21 @@ fn bench_relaxation_engines(c: &mut Criterion) {
             dense_secs * 1e3,
             dense_pivots,
         );
-        json_rows.push(format!(
-            "    {{\"rows\": {m}, \"revised_secs\": {revised_secs:.6}, \"revised_pivots_per_sec\": {:.0}, \"dense_secs\": {dense_secs:.6}, \"dense_pivots_per_sec\": {:.0}, \"speedup\": {speedup:.2}}}",
-            revised_pivots as f64 / revised_secs,
-            dense_pivots as f64 / dense_secs,
-        ));
+        json_rows.push_str(
+            &JsonRow::new()
+                .str("record", "lp_relaxation")
+                .usize("rows", m)
+                .f64("revised_secs", revised_secs)
+                .f64(
+                    "revised_pivots_per_sec",
+                    revised_pivots as f64 / revised_secs,
+                )
+                .f64("dense_secs", dense_secs)
+                .f64("dense_pivots_per_sec", dense_pivots as f64 / dense_secs)
+                .f64("speedup", speedup)
+                .finish(),
+        );
+        json_rows.push('\n');
     }
     group.finish();
 
@@ -173,13 +185,20 @@ fn bench_relaxation_engines(c: &mut Criterion) {
     });
     group.finish();
 
-    let json = format!(
-        "{{\n  \"relaxations\": [\n{}\n  ],\n  \"sweep\": {{\"targets\": {}, \"cold_nodes\": {cold_nodes}, \"warm_nodes\": {warm_nodes}, \"cold_secs\": {cold_secs:.6}, \"warm_secs\": {warm_secs:.6}}}\n}}\n",
-        json_rows.join(",\n"),
-        targets.len(),
+    json_rows.push_str(
+        &JsonRow::new()
+            .str("record", "lp_sweep")
+            .usize("targets", targets.len())
+            .usize("cold_nodes", cold_nodes)
+            .usize("warm_nodes", warm_nodes)
+            .f64("cold_secs", cold_secs)
+            .f64("warm_secs", warm_secs)
+            .finish(),
     );
-    std::fs::write("BENCH_lp.json", &json).expect("BENCH_lp.json is writable");
-    println!("wrote BENCH_lp.json");
+    json_rows.push('\n');
+    write_bench_json("BENCH_lp.json", &json_rows, |floors| {
+        floors.bool("revised_matches_dense", true)
+    });
 }
 
 criterion_group! {

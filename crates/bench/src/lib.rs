@@ -5,11 +5,47 @@
 //! for the remaining experiments, plus micro-benchmarks of the LP substrate
 //! and of the streaming simulator.
 //!
-//! The library part only contains shared fixture helpers; the benchmarks live
-//! in `benches/`.
+//! The fleet and LP-scaling benches are thin callers of the
+//! `rental-experiments` lanes: the lane builds the scenario, times it and
+//! renders its rows; the bench adds criterion lanes and asserts its floors.
+//! Each `BENCH_*.json` is the named lane's JSON-lines rows plus one floors
+//! row ([`write_bench_json`]):
+//!
+//! | file | rows from |
+//! |---|---|
+//! | `BENCH_fleet.json` | `run_fleet_experiment` / `fleet_json` |
+//! | `BENCH_fleet_scaling.json` | `run_fleet_scale_experiment` / `fleet_scale_json` |
+//! | `BENCH_fleet_failure.json` | `run_fleet_failure_experiment` / `fleet_failure_json` |
+//! | `BENCH_fleet_deadline.json` | `run_fleet_deadline_experiment` / `fleet_deadline_json` |
+//! | `BENCH_fleet_recovery.json` | `run_fleet_recovery_experiment` / `fleet_recovery_json` |
+//! | `BENCH_lp_large.json` | `run_lp_large` / `lp_large_rows_json` |
+//!
+//! `BENCH_fleet_obs.json` and `BENCH_lp.json` measure what no lane does
+//! (telemetry overhead, the dense tableau baseline), so their benches render
+//! their own rows, with the same [`JsonRow`] writer.
+//!
+//! The library part only contains shared fixture helpers and the
+//! `BENCH_*.json` writer; the benchmarks live in `benches/`.
 
 use rental_core::Instance;
+use rental_obs::json::JsonRow;
 use rental_simgen::{GeneratorConfig, InstanceGenerator};
+
+/// Writes `file` into the working directory (the package root under
+/// `cargo bench`): the JSON-lines `rows` followed by one
+/// `{"record":"floors",…}` row, which `floors` fills with the floors the
+/// bench asserted and the measurements they were held against.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written: a bench whose summary is lost
+/// must fail.
+pub fn write_bench_json(file: &str, rows: &str, floors: impl FnOnce(JsonRow) -> JsonRow) {
+    let floors = floors(JsonRow::new().str("record", "floors")).finish();
+    if let Err(err) = std::fs::write(file, format!("{rows}{floors}\n")) {
+        panic!("could not write {file}: {err}");
+    }
+}
 
 /// A deterministic instance for each of the paper's workload classes.
 /// Benchmarks use a fixed seed so successive runs measure the same instance.

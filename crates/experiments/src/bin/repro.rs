@@ -161,6 +161,47 @@ fn print_usage() {
     );
 }
 
+/// The paper's figures: command, generator preset, metric and title.
+/// The presets are grouped so `all` runs each one once.
+const FIGURES: [(&str, &str, Metric, &str); 6] = [
+    (
+        "fig3",
+        "small",
+        Metric::NormalisedCost,
+        "Figure 3 — normalised cost, small graphs",
+    ),
+    (
+        "fig4",
+        "small",
+        Metric::WinCount,
+        "Figure 4 — win counts, small graphs",
+    ),
+    (
+        "fig5",
+        "small",
+        Metric::TimeSeconds,
+        "Figure 5 — computation time, small graphs",
+    ),
+    (
+        "fig6",
+        "medium",
+        Metric::NormalisedCost,
+        "Figure 6 — normalised cost, medium graphs",
+    ),
+    (
+        "fig7",
+        "large",
+        Metric::NormalisedCost,
+        "Figure 7 — normalised cost, large graphs",
+    ),
+    (
+        "fig8",
+        "huge",
+        Metric::TimeSeconds,
+        "Figure 8 — computation time, huge graphs",
+    ),
+];
+
 fn persist(options: &Options, file_name: &str, content: &str) {
     if let Some(dir) = &options.output_dir {
         match write_artifact(dir, file_name, content) {
@@ -170,22 +211,36 @@ fn persist(options: &Options, file_name: &str, content: &str) {
     }
 }
 
+/// Prints one lane's rendering in the format the flags ask for — JSON
+/// lines with `--json`, CSV with `--csv` when the lane has a CSV form,
+/// Markdown under `title` otherwise — and writes every rendering into
+/// `--output-dir` as `<stem>.csv`, `<stem>.md` and `<stem>.jsonl`.
+fn emit(options: &Options, stem: &str, title: &str, markdown: &str, csv: Option<&str>, json: &str) {
+    match csv {
+        _ if options.json => print!("{json}"),
+        Some(csv) if options.csv => print!("{csv}"),
+        _ => {
+            println!("## {title}");
+            print!("{markdown}");
+        }
+    }
+    if let Some(csv) = csv {
+        persist(options, &format!("{stem}.csv"), csv);
+    }
+    persist(options, &format!("{stem}.md"), markdown);
+    persist(options, &format!("{stem}.jsonl"), json);
+}
+
 fn emit_table3(options: &Options) {
     let rows = run_table3(&table3_targets(), &SuiteConfig::with_seed(options.seed));
-    let csv = table3_csv(&rows);
-    let markdown = table3_markdown(&rows);
-    let json = table3_json(&rows);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!("## Table III — illustrating example (ILP vs heuristics)");
-        print!("{markdown}");
-    }
-    persist(options, "table3.csv", &csv);
-    persist(options, "table3.md", &markdown);
-    persist(options, "table3.jsonl", &json);
+    emit(
+        options,
+        "table3",
+        "Table III — illustrating example (ILP vs heuristics)",
+        &table3_markdown(&rows),
+        Some(&table3_csv(&rows)),
+        &table3_json(&rows),
+    );
 }
 
 fn run_preset(options: &Options, which: &str) -> ExperimentResults {
@@ -205,17 +260,6 @@ fn run_preset(options: &Options, which: &str) -> ExperimentResults {
 }
 
 fn emit_figure(options: &Options, results: &ExperimentResults, metric: Metric, title: &str) {
-    let csv = figure_csv(results, metric);
-    let markdown = figure_markdown(results, metric);
-    let json = figure_json(results, metric);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!("## {title}");
-        print!("{markdown}");
-    }
     // "Figure 3 — normalised cost, small graphs" -> "figure_3"
     let stem: String = title
         .split('—')
@@ -224,9 +268,14 @@ fn emit_figure(options: &Options, results: &ExperimentResults, metric: Metric, t
         .trim()
         .to_lowercase()
         .replace(' ', "_");
-    persist(options, &format!("{stem}_{}.csv", metric.label()), &csv);
-    persist(options, &format!("{stem}_{}.md", metric.label()), &markdown);
-    persist(options, &format!("{stem}_{}.jsonl", metric.label()), &json);
+    emit(
+        options,
+        &format!("{stem}_{}", metric.label()),
+        title,
+        &figure_markdown(results, metric),
+        Some(&figure_csv(results, metric)),
+        &figure_json(results, metric),
+    );
 }
 
 fn emit_summary(options: &Options, results: &ExperimentResults) {
@@ -277,23 +326,17 @@ fn emit_fleet(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.seed
     );
     let table = run_fleet_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_csv(&table);
-    let markdown = fleet_markdown(&table);
-    let json = fleet_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet — multi-tenant streaming re-optimization ({})",
+    emit(
+        options,
+        "fleet",
+        &format!(
+            "Fleet — multi-tenant streaming re-optimization ({})",
             table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet.csv", &csv);
-    persist(options, "fleet.md", &markdown);
-    persist(options, "fleet.jsonl", &json);
+        ),
+        &fleet_markdown(&table),
+        Some(&fleet_csv(&table)),
+        &fleet_json(&table),
+    );
     Ok(())
 }
 
@@ -309,23 +352,17 @@ fn emit_fleet_failure(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.mtbfs, spec.seed
     );
     let table = run_fleet_failure_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_failure_csv(&table);
-    let markdown = fleet_failure_markdown(&table);
-    let json = fleet_failure_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet failure — capacity pool + outage coupling ({})",
+    emit(
+        options,
+        "fleet_failure",
+        &format!(
+            "Fleet failure — capacity pool + outage coupling ({})",
             table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_failure.csv", &csv);
-    persist(options, "fleet_failure.md", &markdown);
-    persist(options, "fleet_failure.jsonl", &json);
+        ),
+        &fleet_failure_markdown(&table),
+        Some(&fleet_failure_csv(&table)),
+        &fleet_failure_json(&table),
+    );
     Ok(())
 }
 
@@ -341,23 +378,17 @@ fn emit_fleet_deadline(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.node_budgets, spec.seed
     );
     let table = run_fleet_deadline_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_deadline_csv(&table);
-    let markdown = fleet_deadline_markdown(&table);
-    let json = fleet_deadline_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet deadline — anytime solving under per-epoch budgets ({})",
+    emit(
+        options,
+        "fleet_deadline",
+        &format!(
+            "Fleet deadline — anytime solving under per-epoch budgets ({})",
             table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_deadline.csv", &csv);
-    persist(options, "fleet_deadline.md", &markdown);
-    persist(options, "fleet_deadline.jsonl", &json);
+        ),
+        &fleet_deadline_markdown(&table),
+        Some(&fleet_deadline_csv(&table)),
+        &fleet_deadline_json(&table),
+    );
     Ok(())
 }
 
@@ -374,23 +405,17 @@ fn emit_fleet_recovery(options: &Options) -> Result<(), String> {
         spec.num_tenants, spec.snapshot_cadences, spec.seed, spec.crash_epoch
     );
     let table = run_fleet_recovery_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_recovery_csv(&table);
-    let markdown = fleet_recovery_markdown(&table);
-    let json = fleet_recovery_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet recovery — checkpoint/WAL kill-and-resume ({})",
+    emit(
+        options,
+        "fleet_recovery",
+        &format!(
+            "Fleet recovery — checkpoint/WAL kill-and-resume ({})",
             table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_recovery.csv", &csv);
-    persist(options, "fleet_recovery.md", &markdown);
-    persist(options, "fleet_recovery.jsonl", &json);
+        ),
+        &fleet_recovery_markdown(&table),
+        Some(&fleet_recovery_csv(&table)),
+        &fleet_recovery_json(&table),
+    );
     Ok(())
 }
 
@@ -405,16 +430,14 @@ fn emit_lp_large(options: &Options) {
         spec.seed
     );
     let rows = run_lp_large(&spec);
-    let markdown = lp_large_markdown(&rows);
-    let json = lp_large_rows_json(&rows);
-    if options.json {
-        print!("{json}");
-    } else {
-        println!("## LP substrate — dense LU vs sparse Markowitz LU");
-        print!("{markdown}");
-    }
-    persist(options, "lp_large.md", &markdown);
-    persist(options, "lp_large.jsonl", &json);
+    emit(
+        options,
+        "lp_large",
+        "LP substrate — dense LU vs sparse Markowitz LU",
+        &lp_large_markdown(&rows),
+        None,
+        &lp_large_rows_json(&rows),
+    );
 }
 
 fn emit_fleet_obs(options: &Options) -> Result<(), String> {
@@ -450,19 +473,17 @@ fn emit_fleet_obs(options: &Options) -> Result<(), String> {
         None => run_fleet_obs_experiment(&spec),
     }
     .map_err(|err| err.to_string())?;
-    let markdown = fleet_obs_markdown(&table);
-    let json = fleet_obs_json(&table);
-    if options.json {
-        print!("{json}");
-    } else {
-        println!(
-            "## Fleet observability — telemetry-on chaotic run ({})",
+    emit(
+        options,
+        "fleet_obs",
+        &format!(
+            "Fleet observability — telemetry-on chaotic run ({})",
             table.scenario
-        );
-        print!("{markdown}");
-    }
-    persist(options, "fleet_obs.md", &markdown);
-    persist(options, "fleet_obs.jsonl", &json);
+        ),
+        &fleet_obs_markdown(&table),
+        None,
+        &fleet_obs_json(&table),
+    );
     if let Some((exporter, _)) = exporter {
         eprintln!(
             "[repro] run complete; still serving final state on http://{} — Ctrl-C to exit",
@@ -493,53 +514,88 @@ fn emit_fleet_scale(options: &Options) -> Result<(), String> {
         spec.sizes, spec.seed
     );
     let table = run_fleet_scale_experiment(&spec).map_err(|err| err.to_string())?;
-    let csv = fleet_scale_csv(&table);
-    let markdown = fleet_scale_markdown(&table);
-    let json = fleet_scale_json(&table);
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!(
-            "## Fleet scaling — sharded epoch pipelines vs the sequential loop ({})",
+    emit(
+        options,
+        "fleet_scale",
+        &format!(
+            "Fleet scaling — sharded epoch pipelines vs the sequential loop ({})",
             table.scenario
-        );
-        print!("{markdown}");
-    }
+        ),
+        &fleet_scale_markdown(&table),
+        Some(&fleet_scale_csv(&table)),
+        &fleet_scale_json(&table),
+    );
     if !table.all_deterministic() {
         return Err("a sharded run diverged from the sequential report".to_string());
     }
-    persist(options, "fleet_scale.csv", &csv);
-    persist(options, "fleet_scale.md", &markdown);
-    persist(options, "fleet_scale.jsonl", &json);
     Ok(())
 }
 
-fn ablation_spec(options: &Options) -> AblationSpec {
-    AblationSpec {
+fn emit_ablation(options: &Options, results: &AblationResults, title: &str) {
+    emit(
+        options,
+        &results.name.replace('-', "_"),
+        title,
+        &results.markdown(),
+        Some(&results.csv()),
+        &results.json(),
+    );
+}
+
+/// Runs the lane(s) of `options.command` and emits their output.
+fn run(options: &Options) -> Result<(), String> {
+    let ablation = AblationSpec {
         num_configs: options.configs,
         seed: options.seed,
         ..AblationSpec::default()
+    };
+    match options.command.as_str() {
+        "help" => print_usage(),
+        "table3" => emit_table3(options),
+        "summary" => emit_summary(options, &run_preset(options, "small")),
+        "fleet" => emit_fleet(options)?,
+        "fleet-failure" => emit_fleet_failure(options)?,
+        "fleet-deadline" => emit_fleet_deadline(options)?,
+        "fleet-recovery" => emit_fleet_recovery(options)?,
+        "fleet-obs" => emit_fleet_obs(options)?,
+        "fleet-scale" => emit_fleet_scale(options)?,
+        "lp-large" => emit_lp_large(options),
+        "ablation-delta" => emit_ablation(
+            options,
+            &delta_sweep(&ablation, &[1, 5, 10, 20]),
+            "Ablation — δ step of the local-search heuristics",
+        ),
+        "ablation-escape" => emit_ablation(
+            options,
+            &escape_mechanisms(&ablation),
+            "Ablation — escape mechanisms beyond H32",
+        ),
+        "ablation-mutation" => emit_ablation(
+            options,
+            &mutation_sweep(&ablation, &[10, 30, 50, 70]),
+            "Ablation — recipe similarity (mutation percentage)",
+        ),
+        "all" => {
+            emit_table3(options);
+            let mut runs: Vec<(&str, ExperimentResults)> = Vec::new();
+            for &(_, preset, metric, title) in &FIGURES {
+                if runs.last().map(|(last, _)| *last) != Some(preset) {
+                    runs.push((preset, run_preset(options, preset)));
+                }
+                let (_, results) = runs.last().expect("a preset ran");
+                emit_figure(options, results, metric, title);
+            }
+            emit_summary(options, &runs[0].1);
+        }
+        command => {
+            let Some(&(_, preset, metric, title)) = FIGURES.iter().find(|f| f.0 == command) else {
+                print_usage();
+                return Err(format!("unknown command {command}"));
+            };
+            emit_figure(options, &run_preset(options, preset), metric, title);
+        }
     }
-}
-
-fn emit_ablation(options: &Options, results: &AblationResults, title: &str) {
-    let csv = results.csv();
-    let markdown = results.markdown();
-    let json = results.json();
-    if options.json {
-        print!("{json}");
-    } else if options.csv {
-        print!("{csv}");
-    } else {
-        println!("## {title}");
-        print!("{markdown}");
-    }
-    let stem = results.name.replace('-', "_");
-    persist(options, &format!("{stem}.csv"), &csv);
-    persist(options, &format!("{stem}.md"), &markdown);
-    persist(options, &format!("{stem}.jsonl"), &json);
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -552,180 +608,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    match options.command.as_str() {
-        "help" => print_usage(),
-        "table3" => emit_table3(&options),
-        "fig3" => {
-            let results = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &results,
-                Metric::NormalisedCost,
-                "Figure 3 — normalised cost, small graphs",
-            );
-        }
-        "fig4" => {
-            let results = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &results,
-                Metric::WinCount,
-                "Figure 4 — win counts, small graphs",
-            );
-        }
-        "fig5" => {
-            let results = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &results,
-                Metric::TimeSeconds,
-                "Figure 5 — computation time, small graphs",
-            );
-        }
-        "fig6" => {
-            let results = run_preset(&options, "medium");
-            emit_figure(
-                &options,
-                &results,
-                Metric::NormalisedCost,
-                "Figure 6 — normalised cost, medium graphs",
-            );
-        }
-        "fig7" => {
-            let results = run_preset(&options, "large");
-            emit_figure(
-                &options,
-                &results,
-                Metric::NormalisedCost,
-                "Figure 7 — normalised cost, large graphs",
-            );
-        }
-        "fig8" => {
-            let results = run_preset(&options, "huge");
-            emit_figure(
-                &options,
-                &results,
-                Metric::TimeSeconds,
-                "Figure 8 — computation time, huge graphs",
-            );
-        }
-        "summary" => {
-            let results = run_preset(&options, "small");
-            emit_summary(&options, &results);
-        }
-        "fleet" => {
-            if let Err(message) = emit_fleet(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-failure" => {
-            if let Err(message) = emit_fleet_failure(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-deadline" => {
-            if let Err(message) = emit_fleet_deadline(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-recovery" => {
-            if let Err(message) = emit_fleet_recovery(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-obs" => {
-            if let Err(message) = emit_fleet_obs(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "fleet-scale" => {
-            if let Err(message) = emit_fleet_scale(&options) {
-                eprintln!("error: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-        "lp-large" => emit_lp_large(&options),
-        "ablation-delta" => {
-            let results = delta_sweep(&ablation_spec(&options), &[1, 5, 10, 20]);
-            emit_ablation(
-                &options,
-                &results,
-                "Ablation — δ step of the local-search heuristics",
-            );
-        }
-        "ablation-escape" => {
-            let results = escape_mechanisms(&ablation_spec(&options));
-            emit_ablation(
-                &options,
-                &results,
-                "Ablation — escape mechanisms beyond H32",
-            );
-        }
-        "ablation-mutation" => {
-            let results = mutation_sweep(&ablation_spec(&options), &[10, 30, 50, 70]);
-            emit_ablation(
-                &options,
-                &results,
-                "Ablation — recipe similarity (mutation percentage)",
-            );
-        }
-        "all" => {
-            emit_table3(&options);
-            let small = run_preset(&options, "small");
-            emit_figure(
-                &options,
-                &small,
-                Metric::NormalisedCost,
-                "Figure 3 — normalised cost, small graphs",
-            );
-            emit_figure(
-                &options,
-                &small,
-                Metric::WinCount,
-                "Figure 4 — win counts, small graphs",
-            );
-            emit_figure(
-                &options,
-                &small,
-                Metric::TimeSeconds,
-                "Figure 5 — computation time, small graphs",
-            );
-            let medium = run_preset(&options, "medium");
-            emit_figure(
-                &options,
-                &medium,
-                Metric::NormalisedCost,
-                "Figure 6 — normalised cost, medium graphs",
-            );
-            let large = run_preset(&options, "large");
-            emit_figure(
-                &options,
-                &large,
-                Metric::NormalisedCost,
-                "Figure 7 — normalised cost, large graphs",
-            );
-            let huge = run_preset(&options, "huge");
-            emit_figure(
-                &options,
-                &huge,
-                Metric::TimeSeconds,
-                "Figure 8 — computation time, huge graphs",
-            );
-            emit_summary(&options, &small);
-        }
-        other => {
-            eprintln!("error: unknown command {other}");
-            print_usage();
-            return ExitCode::FAILURE;
+    match run(&options) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("error: {message}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -11,7 +11,10 @@
 //! timing a one-epoch twin of the same scenario, whose init work is
 //! identical. Every row also re-checks the determinism contract: the
 //! sharded report must be bit-identical (modulo the wall-clock timing
-//! family) to the sequential one.
+//! family) to the sequential one. When the shard policy resolves to one
+//! shard, the "sharded" run is the sequential loop itself: the row is timed
+//! once and reports no speedup (`n/a`, JSON `null`) rather than the noise
+//! between two runs of the same code path.
 
 use std::time::Instant;
 
@@ -79,9 +82,18 @@ impl FleetScaleRow {
         (self.tenants * self.loop_epochs()) as f64 / self.sharded_secs.max(1e-9)
     }
 
-    /// Sharded-over-sequential speedup.
-    pub fn speedup(&self) -> f64 {
-        self.sequential_secs / self.sharded_secs.max(1e-9)
+    /// Sharded-over-sequential speedup; `None` when the sharded run used
+    /// one shard, i.e. ran the sequential loop itself.
+    pub fn speedup(&self) -> Option<f64> {
+        (self.shards_used > 1).then(|| self.sequential_secs / self.sharded_secs.max(1e-9))
+    }
+
+    /// The speedup rendered for a table cell: `n/a` without a sharded run.
+    fn speedup_cell(&self, precision: usize, suffix: &str) -> String {
+        match self.speedup() {
+            Some(speedup) => format!("{speedup:.precision$}{suffix}"),
+            None => "n/a".to_string(),
+        }
     }
 }
 
@@ -103,29 +115,30 @@ impl FleetScaleTable {
     }
 }
 
-/// Epoch-loop seconds of one `(scenario, policy)` pair: minimum full-run
-/// wall-time minus minimum one-epoch wall-time, over `trials` trials each.
+/// Epoch-loop seconds of the scaling fleet run under `shards`: minimum
+/// full-run wall-time minus minimum one-epoch wall-time, over `trials`
+/// trials each.
 fn time_epoch_loop(
     tenants: usize,
     seed: u64,
-    policy_of: impl Fn(FleetPolicy) -> FleetPolicy,
+    shards: Option<usize>,
     trials: usize,
 ) -> SolveResult<(f64, rental_fleet::FleetReport)> {
     let solver = IlpSolver::new();
+    let controller = |policy| FleetController::new(FleetPolicy { shards, ..policy });
     let mut best_full = f64::INFINITY;
     let mut best_one = f64::INFINITY;
     let mut report = None;
     for _ in 0..trials.max(1) {
         let full = scaling_fleet(tenants, seed);
         let start = Instant::now();
-        let full_report =
-            FleetController::new(policy_of(full.policy)).run(&solver, &full.tenants)?;
+        let full_report = controller(full.policy).run(&solver, &full.tenants)?;
         best_full = best_full.min(start.elapsed().as_secs_f64());
         report = Some(full_report);
 
         let one = scaling_fleet_one_epoch(tenants, seed);
         let start = Instant::now();
-        FleetController::new(policy_of(one.policy)).run(&solver, &one.tenants)?;
+        controller(one.policy).run(&solver, &one.tenants)?;
         best_one = best_one.min(start.elapsed().as_secs_f64());
     }
     Ok((
@@ -134,7 +147,8 @@ fn time_epoch_loop(
     ))
 }
 
-/// Runs the sequential-vs-sharded scaling sweep.
+/// Runs the sequential-vs-sharded scaling sweep. A row whose sharded run
+/// resolves to one shard *is* the sequential loop, so it is timed once.
 ///
 /// # Errors
 ///
@@ -143,36 +157,27 @@ pub fn run_fleet_scale_experiment(spec: &FleetScaleSpec) -> SolveResult<FleetSca
     let mut rows = Vec::with_capacity(spec.sizes.len());
     let mut scenario_name = String::new();
     for &tenants in &spec.sizes {
-        scenario_name = scaling_fleet(tenants, spec.seed).name;
-        let (sequential_secs, sequential_report) = time_epoch_loop(
-            tenants,
-            spec.seed,
-            |p| FleetPolicy {
-                shards: Some(1),
-                ..p
-            },
-            spec.trials,
-        )?;
-        let (sharded_secs, sharded_report) = time_epoch_loop(
-            tenants,
-            spec.seed,
-            |p| FleetPolicy {
-                shards: spec.shards,
-                ..p
-            },
-            spec.trials,
-        )?;
+        let scenario = scaling_fleet(tenants, spec.seed);
+        scenario_name = scenario.name;
         let shards_used = FleetPolicy {
             shards: spec.shards,
-            ..scaling_fleet(tenants, spec.seed).policy
+            ..scenario.policy
         }
         .shard_count(tenants);
+        let (sequential_secs, sequential_report) =
+            time_epoch_loop(tenants, spec.seed, Some(1), spec.trials)?;
+        let (sharded_secs, deterministic) = if shards_used == 1 {
+            (sequential_secs, true)
+        } else {
+            let (secs, report) = time_epoch_loop(tenants, spec.seed, spec.shards, spec.trials)?;
+            (secs, sequential_report.matches_modulo_timing(&report))
+        };
         rows.push(FleetScaleRow {
             tenants,
             shards_used,
             sequential_secs,
             sharded_secs,
-            deterministic: sequential_report.matches_modulo_timing(&sharded_report),
+            deterministic,
         });
     }
     Ok(FleetScaleTable {
@@ -192,14 +197,14 @@ pub fn fleet_scale_markdown(table: &FleetScaleTable) -> String {
     out.push_str("|---:|---:|---:|---:|---:|---:|---:|---:|\n");
     for row in &table.rows {
         out.push_str(&format!(
-            "| {} | {} | {:.3} | {:.3} | {:.0} | {:.0} | {:.2}x | {} |\n",
+            "| {} | {} | {:.3} | {:.3} | {:.0} | {:.0} | {} | {} |\n",
             row.tenants,
             row.shards_used,
             row.sequential_secs,
             row.sharded_secs,
             row.sequential_teps(),
             row.sharded_teps(),
-            row.speedup(),
+            row.speedup_cell(2, "x"),
             if row.deterministic { "yes" } else { "NO" },
         ));
     }
@@ -220,14 +225,14 @@ pub fn fleet_scale_csv(table: &FleetScaleTable) -> String {
     );
     for row in &table.rows {
         out.push_str(&format!(
-            "{},{},{:.4},{:.4},{:.1},{:.1},{:.3},{}\n",
+            "{},{},{:.4},{:.4},{:.1},{:.1},{},{}\n",
             row.tenants,
             row.shards_used,
             row.sequential_secs,
             row.sharded_secs,
             row.sequential_teps(),
             row.sharded_teps(),
-            row.speedup(),
+            row.speedup_cell(3, ""),
             row.deterministic,
         ));
     }
@@ -238,22 +243,22 @@ pub fn fleet_scale_csv(table: &FleetScaleTable) -> String {
 pub fn fleet_scale_json(table: &FleetScaleTable) -> String {
     let mut out = String::new();
     for row in &table.rows {
-        out.push_str(
-            &rental_obs::json::JsonRow::new()
-                .str("record", "fleet_scale")
-                .str("scenario", &table.scenario)
-                .usize("cores", table.cores)
-                .usize("tenants", row.tenants)
-                .usize("shards", row.shards_used)
-                .usize("loop_epochs", row.loop_epochs())
-                .f64("sequential_secs", row.sequential_secs)
-                .f64("sharded_secs", row.sharded_secs)
-                .f64("sequential_teps", row.sequential_teps())
-                .f64("sharded_teps", row.sharded_teps())
-                .f64("speedup", row.speedup())
-                .bool("deterministic", row.deterministic)
-                .finish(),
-        );
+        let json = rental_obs::json::JsonRow::new()
+            .str("record", "fleet_scale")
+            .str("scenario", &table.scenario)
+            .usize("cores", table.cores)
+            .usize("tenants", row.tenants)
+            .usize("shards", row.shards_used)
+            .usize("loop_epochs", row.loop_epochs())
+            .f64("sequential_secs", row.sequential_secs)
+            .f64("sharded_secs", row.sharded_secs)
+            .f64("sequential_teps", row.sequential_teps())
+            .f64("sharded_teps", row.sharded_teps());
+        let json = match row.speedup() {
+            Some(speedup) => json.f64("speedup", speedup),
+            None => json.raw("speedup", "null"),
+        };
+        out.push_str(&json.bool("deterministic", row.deterministic).finish());
         out.push('\n');
     }
     out
@@ -265,24 +270,31 @@ mod tests {
 
     #[test]
     fn small_scale_sweep_measures_and_stays_deterministic() {
-        let spec = FleetScaleSpec {
-            sizes: vec![96],
-            seed: 7,
-            shards: Some(4),
-            trials: 1,
-        };
-        let table = run_fleet_scale_experiment(&spec).unwrap();
-        assert_eq!(table.rows.len(), 1);
-        let row = &table.rows[0];
-        assert_eq!(row.shards_used, 4);
-        assert!(row.sequential_teps() > 0.0);
-        assert!(row.sharded_teps() > 0.0);
-        assert!(table.all_deterministic());
-        let markdown = fleet_scale_markdown(&table);
-        assert!(markdown.contains("| 96 |"));
-        let csv = fleet_scale_csv(&table);
-        assert_eq!(csv.lines().count(), 2);
-        let json = fleet_scale_json(&table);
-        assert!(json.contains("\"record\":\"fleet_scale\""));
+        for shards in [4, 1] {
+            let spec = FleetScaleSpec {
+                sizes: vec![96],
+                seed: 7,
+                shards: Some(shards),
+                trials: 1,
+            };
+            let table = run_fleet_scale_experiment(&spec).unwrap();
+            assert_eq!(table.rows.len(), 1);
+            let row = &table.rows[0];
+            assert_eq!(row.shards_used, shards);
+            assert!(row.sequential_teps() > 0.0);
+            assert!(row.sharded_teps() > 0.0);
+            assert!(table.all_deterministic());
+            // One shard is the sequential loop: no speedup is reported.
+            assert_eq!(row.speedup().is_some(), shards > 1);
+            let markdown = fleet_scale_markdown(&table);
+            assert!(markdown.contains("| 96 |"));
+            assert_eq!(markdown.contains("| n/a |"), shards == 1);
+            let csv = fleet_scale_csv(&table);
+            assert_eq!(csv.lines().count(), 2);
+            assert_eq!(csv.contains(",n/a,"), shards == 1);
+            let json = fleet_scale_json(&table);
+            assert!(json.contains("\"record\":\"fleet_scale\""));
+            assert_eq!(json.contains("\"speedup\":null"), shards == 1);
+        }
     }
 }

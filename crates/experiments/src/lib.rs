@@ -44,6 +44,15 @@
 //!   timing, fill-in, hyper-sparse hit rate) on wide-platform MinCost
 //!   relaxations with m = 256..1024 rows.
 //!
+//! Each lane is the only place that builds its scenario, times it and
+//! renders it (Markdown, CSV, JSON lines). The `rental-bench` benches are
+//! thin callers: they run a lane, assert their floors against its rows, and
+//! write `BENCH_*.json` as the lane's JSON-lines rendering plus one floors
+//! row — `BENCH_fleet.json` from [`fleet`], `BENCH_fleet_scaling.json` from
+//! [`fleet_scale`], `BENCH_fleet_failure.json`, `BENCH_fleet_deadline.json`
+//! and `BENCH_fleet_recovery.json` from the lanes of the same name, and
+//! `BENCH_lp_large.json` from [`lp_large`].
+//!
 //! The `repro` binary glues these together:
 //!
 //! ```text
@@ -91,9 +100,7 @@ pub use fleet_scale::{
     fleet_scale_csv, fleet_scale_json, fleet_scale_markdown, run_fleet_scale_experiment,
     FleetScaleRow, FleetScaleSpec, FleetScaleTable,
 };
-pub use lp_large::{
-    lp_large_json, lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeRow, LpLargeSpec,
-};
+pub use lp_large::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeRow, LpLargeSpec};
 pub use report::{
     figure_csv, figure_json, figure_markdown, summary_json, table3_csv, table3_json,
     table3_markdown, write_artifact, Metric,

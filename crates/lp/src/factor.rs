@@ -18,8 +18,7 @@
 //!   O(entries touched), not O(m²).
 //! * [`DenseLu`]: the original dense partial-pivoting LU, kept as the
 //!   differential oracle and benchmark baseline. Select it per solve with
-//!   [`crate::simplex::SimplexOptions::dense_lu`], or flip the crate feature
-//!   `dense-lu` to make it the default for an entire differential run.
+//!   [`crate::simplex::SimplexOptions::dense_lu`].
 //!
 //! Solves run on [`SparseVector`]s — a dense value array plus an explicit
 //! nonzero index list — so the simplex loops above can iterate only the

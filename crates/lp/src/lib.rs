@@ -15,10 +15,9 @@
 //!   stability; pricing is partial (rotating candidate sections), and
 //!   general variable bounds are handled natively (no shifting, splitting or
 //!   extra bound rows). The pre-rewrite dense LU survives as
-//!   [`factor::DenseLu`] (see [`SimplexOptions::dense_lu`] and the
-//!   `dense-lu` feature) and the dense tableau as [`simplex::dense`]
-//!   ([`dense_simplex`]) — the differential-testing oracles and benchmark
-//!   baselines.
+//!   [`factor::DenseLu`] (see [`SimplexOptions::dense_lu`]) and the dense
+//!   tableau as [`simplex::dense`] ([`dense_simplex`]) — the
+//!   differential-testing oracles and benchmark baselines.
 //! * [`mip`] — best-first branch-and-bound with an LP-rounding primal
 //!   heuristic, time/node/gap limits (the 100 s time limit of the paper's
 //!   Figure 8 maps to [`mip::SolveLimits::with_time_limit`]). Child nodes

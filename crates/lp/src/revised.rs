@@ -27,8 +27,7 @@
 //! allocation survives on the hot path. Every [`REFACTOR_EVERY`] pivots the
 //! eta file is folded into a fresh LU, bounding per-iteration cost and
 //! floating-point drift. The pre-rewrite dense LU remains available as a
-//! differential oracle via [`SimplexOptions::dense_lu`] (or the `dense-lu`
-//! crate feature).
+//! differential oracle via [`SimplexOptions::dense_lu`].
 //!
 //! Pricing is **partial with a rotating candidate section**: each primal
 //! iteration scans a section of the nonbasic columns (Dantzig within the

@@ -39,9 +39,7 @@ pub struct SimplexOptions {
     /// Factorize the basis with the retained dense LU
     /// ([`crate::factor::DenseLu`]) instead of the sparse Markowitz LU — the
     /// oracle path of the differential suite and the baseline of the
-    /// `lp_large` bench. Defaults to `false`; building the crate with the
-    /// `dense-lu` feature flips the default so an entire test run can be
-    /// exercised against the dense backend.
+    /// `lp_large` bench. Defaults to `false`.
     pub dense_lu: bool,
 }
 
@@ -52,7 +50,7 @@ impl Default for SimplexOptions {
             max_iterations: 50_000,
             bland_after: 10_000,
             stall_after: 128,
-            dense_lu: cfg!(feature = "dense-lu"),
+            dense_lu: false,
         }
     }
 }

@@ -31,7 +31,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::json::JsonRow;
 use crate::metrics::{Histogram, MetricsSnapshot};
@@ -40,6 +40,11 @@ use crate::recorder::Recorder;
 /// Largest request head the responder reads before answering 400. Scrape
 /// requests are a handful of lines; anything bigger is not a scraper.
 const MAX_REQUEST_BYTES: usize = 8 * 1024;
+
+/// Time a client gets to send its whole request head, and the bound on
+/// each write of the response. Connections are served one at a time, so
+/// this bounds how long one slow client can hold up every other scrape.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A background scrape endpoint over a shared [`Recorder`]. Binds on
 /// construction, serves until dropped.
@@ -104,16 +109,23 @@ fn accept_loop(listener: TcpListener, recorder: Arc<Recorder>, stop: Arc<AtomicB
         let Ok(stream) = stream else { continue };
         // Scrapes are tiny; serve inline and bound every socket wait so a
         // stalled client cannot wedge the exporter.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         let _ = serve_connection(stream, &recorder);
     }
 }
 
 fn serve_connection(mut stream: TcpStream, recorder: &Recorder) -> std::io::Result<()> {
+    // One deadline for the whole head, not one per read: a client trickling
+    // a byte at a time must not renew its timeout with every byte.
+    let deadline = Instant::now() + IO_TIMEOUT;
     let mut head = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(remaining))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;

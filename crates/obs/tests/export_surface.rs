@@ -3,12 +3,16 @@
 //! scrape-under-load test that hammers `/metrics` and `/health` over real
 //! HTTP while writer threads mutate the shared recorder, checking that
 //! every scrape is a *consistent* snapshot (cumulative buckets monotone,
-//! `+Inf` equals `_count`, counters never run backwards across scrapes).
+//! `+Inf` equals `_count`, counters never run backwards across scrapes),
+//! and a slow-client test that one trickling connection cannot stall the
+//! scrapes queued behind it.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rental_obs::{
     render_prometheus, Exporter, Histogram, MetricsSnapshot, Recorder, TelemetrySink,
@@ -135,5 +139,55 @@ fn concurrent_scrapes_see_consistent_snapshots() {
         Some(WRITERS as u64 * OPS_PER_WRITER)
     );
 
+    exporter.shutdown();
+}
+
+#[test]
+fn a_trickling_client_cannot_stall_other_scrapes() {
+    let recorder = Arc::new(Recorder::new());
+    let exporter = Exporter::bind(recorder, "127.0.0.1:0").unwrap();
+    let addr = exporter.local_addr();
+
+    // A client that never finishes its request head: one byte every 500 ms
+    // for up to 8 s. Per-read timeouts would let it hold the serving
+    // thread for as long as it keeps writing.
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut slow = TcpStream::connect(addr).unwrap();
+    slow.write_all(b"G").unwrap();
+    let trickler = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            for _ in 0..16 {
+                std::thread::sleep(Duration::from_millis(500));
+                if stop.load(Ordering::SeqCst) || slow.write_all(b"E").is_err() {
+                    break;
+                }
+            }
+        })
+    };
+
+    std::thread::sleep(Duration::from_millis(200));
+    let start = Instant::now();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut response = String::new();
+    let _ = stream.read_to_string(&mut response);
+    let waited = start.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    trickler.join().unwrap();
+
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK"),
+        "the queued scrape got no 200: {response:?}"
+    );
+    assert!(
+        waited < Duration::from_secs(4),
+        "the queued scrape waited {waited:?} behind a trickling client"
+    );
     exporter.shutdown();
 }
