@@ -22,11 +22,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rental_bench::write_bench_json;
+use rental_experiments::lp_large::relaxation;
 use rental_experiments::{lp_large_markdown, lp_large_rows_json, run_lp_large, LpLargeSpec};
 use rental_lp::revised::RevisedLp;
 use rental_lp::simplex::SimplexOptions;
-use rental_simgen::{GeneratorConfig, InstanceGenerator};
-use rental_solvers::exact::IlpSolver;
 
 /// Conservative CI floor on the refactorization speedup at m ≥ 512. The
 /// measured value is expected ≥ 5x; the floor only guards against the sparse
@@ -104,9 +103,7 @@ fn bench_lp_large(c: &mut Criterion) {
     // Criterion lane for trend tracking: the sparse solve at m = 512 (the
     // dense baseline is already timed above; re-running it under criterion
     // would dominate the bench budget).
-    let config = GeneratorConfig::wide_platform(511, 48);
-    let instance = InstanceGenerator::new(config, 0xD1CE).generate_instance();
-    let model = IlpSolver::build_model(&instance, 500);
+    let model = relaxation(511, 48, 500, 0xD1CE);
     let lp = RevisedLp::new(&model).expect("generated relaxation is valid");
     let options = SimplexOptions::default();
     let mut group = c.benchmark_group("lp_large");

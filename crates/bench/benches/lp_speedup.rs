@@ -21,40 +21,14 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rental_bench::{fixture, write_bench_json};
+use rental_bench::write_bench_json;
 use rental_core::examples::illustrating_example;
-use rental_lp::model::Model;
+use rental_experiments::lp_large::{measure, relaxation};
 use rental_lp::simplex::{self, dense, SimplexOptions};
 use rental_obs::json::JsonRow;
-use rental_simgen::GeneratorConfig;
 use rental_solvers::batch::solve_sweep;
 use rental_solvers::exact::IlpSolver;
 use rental_solvers::MinCostSolver;
-
-/// A MinCost LP relaxation with `1 + num_types` constraint rows.
-fn relaxation(num_types: usize, num_recipes: usize, target: u64) -> Model {
-    let config = GeneratorConfig::wide_platform(num_types, num_recipes);
-    let instance = fixture(config, 0xD1CE);
-    IlpSolver::build_model(&instance, target)
-}
-
-fn median_secs_per_solve(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    samples[samples.len() / 2]
-}
-
-/// Times `solve` repeatedly and returns (median seconds/solve, iterations of
-/// one solve).
-fn measure(mut solve: impl FnMut() -> usize, rounds: usize) -> (f64, usize) {
-    let mut iterations = 0;
-    let mut samples = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let start = Instant::now();
-        iterations = solve();
-        samples.push(start.elapsed().as_secs_f64());
-    }
-    (median_secs_per_solve(&mut samples), iterations)
-}
 
 fn bench_relaxation_engines(c: &mut Criterion) {
     let options = SimplexOptions::default();
@@ -63,7 +37,7 @@ fn bench_relaxation_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_speedup");
     group.sample_size(10);
     for &(num_types, num_recipes) in &[(63usize, 24usize), (95, 32)] {
-        let model = relaxation(num_types, num_recipes, 500);
+        let model = relaxation(num_types, num_recipes, 500, 0xD1CE);
         let m = 1 + num_types;
 
         // Both engines must agree before their speeds are compared.
@@ -100,12 +74,14 @@ fn bench_relaxation_engines(c: &mut Criterion) {
         );
 
         // Manual medians for the JSON summary (criterion's shim prints only).
-        let (revised_secs, revised_pivots) = measure(
-            || simplex::solve_with(&model, &options).unwrap().iterations,
+        let mut revised_pivots = 0;
+        let revised_secs = measure(
+            || revised_pivots = simplex::solve_with(&model, &options).unwrap().iterations,
             15,
         );
-        let (dense_secs, dense_pivots) = measure(
-            || dense::solve_with(&model, &options).unwrap().iterations,
+        let mut dense_pivots = 0;
+        let dense_secs = measure(
+            || dense_pivots = dense::solve_with(&model, &options).unwrap().iterations,
             15,
         );
         let speedup = dense_secs / revised_secs;

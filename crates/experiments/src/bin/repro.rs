@@ -28,7 +28,9 @@
 //! Options:
 //! * `--configs N`         number of random configurations (default 10; the paper uses 100)
 //! * `--seed S`            base RNG seed (default 2016)
-//! * `--ilp-time-limit S`  ILP wall-clock limit in seconds for fig8 (default 5, paper uses 100)
+//! * `--ilp-time-limit S`  ILP wall-clock limit in seconds for every figure run (fig3–fig8);
+//!   without it fig3–fig5 and fig6 keep 30 s, fig7 60 s and fig8 5 s (the paper uses 100 s
+//!   for fig8)
 //! * `--csv`               emit CSV instead of Markdown
 //! * `--json`              emit JSON lines instead of Markdown (wins over --csv)
 //! * `--output-dir DIR`    also write every emitted table/series into DIR
@@ -52,8 +54,9 @@ use rental_experiments::{
     run_fleet_failure_experiment, run_fleet_obs_experiment, run_fleet_obs_experiment_with,
     run_fleet_recovery_experiment, run_fleet_scale_experiment, run_lp_large, run_table3,
     summary_json, table3_csv, table3_json, table3_markdown, table3_targets, write_artifact,
-    AblationResults, AblationSpec, ExperimentResults, FleetDeadlineSpec, FleetExperimentSpec,
-    FleetFailureSpec, FleetObsSpec, FleetRecoverySpec, FleetScaleSpec, LpLargeSpec, Metric,
+    AblationResults, AblationSpec, ExperimentResults, ExperimentSpec, FleetDeadlineSpec,
+    FleetExperimentSpec, FleetFailureSpec, FleetObsSpec, FleetRecoverySpec, FleetScaleSpec,
+    LpLargeSpec, Metric,
 };
 use rental_solvers::SuiteConfig;
 
@@ -62,7 +65,8 @@ struct Options {
     command: String,
     configs: usize,
     seed: u64,
-    ilp_time_limit: f64,
+    /// `--ilp-time-limit`: overrides every preset's ILP limit when given.
+    ilp_time_limit: Option<f64>,
     csv: bool,
     json: bool,
     threads: Option<usize>,
@@ -77,7 +81,7 @@ impl Default for Options {
             command: "all".to_string(),
             configs: 10,
             seed: 2016,
-            ilp_time_limit: 5.0,
+            ilp_time_limit: None,
             csv: false,
             json: false,
             threads: None,
@@ -107,9 +111,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--ilp-time-limit" => {
                 let value = iter.next().ok_or("--ilp-time-limit needs a value")?;
-                options.ilp_time_limit = value
-                    .parse()
-                    .map_err(|_| "invalid --ilp-time-limit value")?;
+                options.ilp_time_limit = Some(
+                    value
+                        .parse()
+                        .map_err(|_| "invalid --ilp-time-limit value")?,
+                );
             }
             "--threads" => {
                 let value = iter.next().ok_or("--threads needs a value")?;
@@ -243,15 +249,29 @@ fn emit_table3(options: &Options) {
     );
 }
 
-fn run_preset(options: &Options, which: &str) -> ExperimentResults {
+/// fig8's ILP limit in seconds when `--ilp-time-limit` is absent.
+const DEFAULT_HUGE_ILP_TIME_LIMIT: f64 = 5.0;
+
+/// The experiment spec of one preset under the command-line options: a
+/// given `--ilp-time-limit` replaces the preset's own limit.
+fn preset_spec(options: &Options, which: &str) -> ExperimentSpec {
+    let (configs, seed) = (options.configs, options.seed);
     let mut spec = match which {
-        "small" => presets::small_graphs(options.configs, options.seed),
-        "medium" => presets::medium_graphs(options.configs, options.seed),
-        "large" => presets::large_graphs(options.configs, options.seed),
-        "huge" => presets::huge_graphs(options.configs, options.seed, options.ilp_time_limit),
+        "small" => presets::small_graphs(configs, seed),
+        "medium" => presets::medium_graphs(configs, seed),
+        "large" => presets::large_graphs(configs, seed),
+        "huge" => presets::huge_graphs(configs, seed, DEFAULT_HUGE_ILP_TIME_LIMIT),
         other => unreachable!("unknown preset {other}"),
     };
+    if let Some(limit) = options.ilp_time_limit {
+        spec.suite.ilp_time_limit = Some(limit);
+    }
     spec.threads = options.threads;
+    spec
+}
+
+fn run_preset(options: &Options, which: &str) -> ExperimentResults {
+    let spec = preset_spec(options, which);
     eprintln!(
         "[repro] running {} with {} configurations (seed {}) ...",
         spec.name, spec.num_configs, spec.seed
@@ -654,7 +674,25 @@ mod tests {
         assert_eq!(options.configs, 25);
         assert_eq!(options.seed, 9);
         assert!(options.csv);
-        assert_eq!(options.ilp_time_limit, 2.5);
+        assert_eq!(options.ilp_time_limit, Some(2.5));
+        // The flag reaches every preset, not just fig8's.
+        for preset in ["small", "medium", "large", "huge"] {
+            let spec = preset_spec(&options, preset);
+            assert_eq!(spec.suite.ilp_time_limit, Some(2.5), "{preset}");
+        }
+        // Without it, every preset keeps its own default.
+        let defaults = parse_args(&args(&["fig3"])).unwrap();
+        assert_eq!(defaults.ilp_time_limit, None);
+        for (preset, limit) in [
+            ("small", 30.0),
+            ("medium", 30.0),
+            ("large", 60.0),
+            ("huge", DEFAULT_HUGE_ILP_TIME_LIMIT),
+        ] {
+            let spec = preset_spec(&defaults, preset);
+            assert_eq!(spec.suite.ilp_time_limit, Some(limit), "{preset}");
+        }
+        assert_eq!(DEFAULT_HUGE_ILP_TIME_LIMIT, 5.0);
         assert_eq!(options.threads, Some(4));
         assert_eq!(
             options.output_dir.as_deref(),

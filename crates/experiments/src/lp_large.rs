@@ -82,20 +82,26 @@ pub struct LpLargeRow {
     pub hyper_sparse_rate: f64,
 }
 
-/// The wide-platform MinCost relaxation model for one size.
-fn relaxation(num_types: usize, num_recipes: usize, target: u64, seed: u64) -> Model {
+/// The wide-platform MinCost relaxation model for one size: the §V-C model
+/// of a [`GeneratorConfig::wide_platform`] instance, with `m = 1 +
+/// num_types` constraint rows. The `lp_speedup` and `lp_large` benches
+/// build their relaxations here too.
+pub fn relaxation(num_types: usize, num_recipes: usize, target: u64, seed: u64) -> Model {
     let config = GeneratorConfig::wide_platform(num_types, num_recipes);
     let instance = InstanceGenerator::new(config, seed).generate_instance();
     IlpSolver::build_model(&instance, target)
 }
 
-fn median(samples: &mut [f64]) -> f64 {
+/// The median of timing samples (sorted in place; the upper median of an
+/// even count).
+pub fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
 
-/// Times `run` for `rounds` rounds and returns the median seconds per call.
-fn measure(mut run: impl FnMut(), rounds: usize) -> f64 {
+/// Times `run` for `rounds` rounds (at least one) and returns the median
+/// seconds per call.
+pub fn measure(mut run: impl FnMut(), rounds: usize) -> f64 {
     let mut samples = Vec::with_capacity(rounds.max(1));
     for _ in 0..rounds.max(1) {
         let start = Instant::now();

@@ -140,7 +140,9 @@ impl SparseVector {
     }
 
     /// Rebuilds the support by scanning the dense values (used after a dense
-    /// backend wrote arbitrary entries). O(m).
+    /// backend wrote arbitrary entries). O(m). A `-0.0` the backend wrote
+    /// off the support becomes `0.0`, so every off-support entry is exactly
+    /// `0.0` and a reused vector reads like a fresh one.
     fn rescan_support(&mut self) {
         for &i in &self.nz {
             self.marked[i] = false;
@@ -150,6 +152,8 @@ impl SparseVector {
             if self.values[i] != 0.0 {
                 self.marked[i] = true;
                 self.nz.push(i);
+            } else {
+                self.values[i] = 0.0;
             }
         }
     }
@@ -393,14 +397,18 @@ impl SparseLu {
         self.col_perm[k] = c;
 
         // L multipliers from the pivot column (removed from the active set).
-        let col = mem::take(&mut self.acol[c]);
+        // The pivot column, `L` column and `U` row are filled into the
+        // buffers they already hold, so a refactorization allocates only
+        // when the factors outgrow every earlier one.
+        let mut col = mem::take(&mut self.acol[c]);
         let pivot = col
             .iter()
             .find(|&&(i, _)| i == r)
             .expect("selected pivot entry exists")
             .1;
         self.u_diag[k] = pivot;
-        let mut lfac: Vec<(usize, f64)> = Vec::with_capacity(col.len() - 1);
+        let mut lfac = mem::take(&mut self.l_cols[k]);
+        lfac.clear();
         for &(i, a) in &col {
             if i != r {
                 self.row_count[i] -= 1;
@@ -409,10 +417,13 @@ impl SparseLu {
                 }
             }
         }
+        col.clear();
+        self.acol[c] = col; // pivoted columns stay empty; keep the allocation
 
         // U row from the pivot row's remaining entries (removed column-wise).
         let columns_of_r = mem::take(&mut self.rows_of[r]);
-        let mut urow: Vec<(usize, f64)> = Vec::new();
+        let mut urow = mem::take(&mut self.u_rows[k]);
+        urow.clear();
         for &j in &columns_of_r {
             if self.col_pivoted[j] {
                 continue; // stale: that column was pivoted earlier
@@ -924,22 +935,25 @@ impl DenseLu {
     }
 
     /// FTRAN on a [`SparseVector`] (dense sweep; support rebuilt by scan).
+    /// The vector may be longer than `m` (a reused buffer); the solve reads
+    /// and writes its first `m` entries.
     pub fn ftran(&mut self, v: &mut SparseVector) {
         for &i in &v.nz {
             v.marked[i] = false;
         }
         v.nz.clear();
-        self.ftran_dense(&mut v.values);
+        self.ftran_dense(&mut v.values[..self.m]);
         v.rescan_support();
     }
 
     /// BTRAN on a [`SparseVector`] (dense sweep; support rebuilt by scan).
+    /// Like [`ftran`](Self::ftran), it works on the first `m` entries.
     pub fn btran(&mut self, v: &mut SparseVector) {
         for &i in &v.nz {
             v.marked[i] = false;
         }
         v.nz.clear();
-        self.btran_dense(&mut v.values);
+        self.btran_dense(&mut v.values[..self.m]);
         v.rescan_support();
     }
 }
@@ -950,7 +964,7 @@ impl DenseLu {
 
 /// One product-form update: basis column `pivot` was replaced by the column
 /// whose FTRAN image is `w`; `w[pivot]` is stored separately as `pivot_value`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Eta {
     pivot: usize,
     pivot_value: f64,
@@ -985,36 +999,48 @@ impl FactorStats {
     }
 }
 
-/// Backend of one [`Factorization`].
-#[derive(Debug, Clone)]
-enum Backend {
-    Sparse(Box<SparseLu>),
-    Dense(Box<DenseLu>),
-}
-
 /// LU factors of the basis at the last refactorization, the eta file
 /// accumulated since, and the solve/fill counters — the only interface the
 /// simplex loops talk to.
-#[derive(Debug, Clone)]
+///
+/// One factorization serves every solve of a
+/// [`crate::revised::SimplexWorkspace`]: [`reset`](Self::reset) starts a
+/// solve without dropping any buffer, so the sparse LU workspace, its `L`/`U`
+/// vectors and the eta entry buffers are allocated once and refilled in
+/// place.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Factorization {
-    backend: Backend,
-    pub(crate) etas: Vec<Eta>,
+    sparse: SparseLu,
+    /// The dense oracle backend, created by the first solve that asks for it
+    /// and kept for later ones.
+    dense: Option<Box<DenseLu>>,
+    /// Whether the current solve factorizes on `dense`.
+    use_dense: bool,
+    /// Eta slots: the first `eta_count` form the live eta file, the rest
+    /// keep their entry buffers for later pivots.
+    etas: Vec<Eta>,
+    eta_count: usize,
     pub(crate) stats: FactorStats,
 }
 
 impl Factorization {
-    /// A factorization using the sparse Markowitz backend, or the dense LU
-    /// when `dense_lu` is set.
-    pub(crate) fn new(dense_lu: bool) -> Self {
-        Factorization {
-            backend: if dense_lu {
-                Backend::Dense(Box::default())
-            } else {
-                Backend::Sparse(Box::default())
-            },
-            etas: Vec::new(),
-            stats: FactorStats::default(),
+    /// Starts a solve: empties the eta file, zeroes the counters and selects
+    /// the dense LU when `dense_lu` is set, the sparse Markowitz LU
+    /// otherwise. The next call must be [`refactorize`](Self::refactorize).
+    pub(crate) fn reset(&mut self, dense_lu: bool) {
+        self.use_dense = dense_lu;
+        if dense_lu && self.dense.is_none() {
+            self.dense = Some(Box::default());
         }
+        self.eta_count = 0;
+        self.stats = FactorStats::default();
+    }
+
+    /// The dense backend of a solve that selected it.
+    fn dense_lu(&mut self) -> &mut DenseLu {
+        self.dense
+            .as_deref_mut()
+            .expect("reset(true) creates the dense backend")
     }
 
     /// Factorizes the basis, clearing the eta file. Returns `false` when the
@@ -1025,45 +1051,38 @@ impl Factorization {
         cols: &[Vec<(usize, f64)>],
         basis: &[usize],
     ) -> bool {
-        self.etas.clear();
+        self.eta_count = 0;
         self.stats.refactorizations += 1;
-        match &mut self.backend {
-            Backend::Sparse(lu) => {
-                if !lu.factorize(m, cols, basis) {
-                    return false;
-                }
-                self.stats.fill_nnz = lu.fill_nnz();
-                self.stats.basis_nnz = lu.basis_nnz();
-                true
-            }
-            Backend::Dense(lu) => {
-                // The dense backend does not track fill; zero the counters so
-                // stale sparse numbers cannot leak into its outcomes.
-                self.stats.fill_nnz = 0;
-                self.stats.basis_nnz = 0;
-                lu.factorize(m, cols, basis)
-            }
+        if self.use_dense {
+            // The dense backend does not track fill; zero the counters so
+            // stale sparse numbers cannot leak into its outcomes.
+            self.stats.fill_nnz = 0;
+            self.stats.basis_nnz = 0;
+            return self.dense_lu().factorize(m, cols, basis);
         }
+        if !self.sparse.factorize(m, cols, basis) {
+            return false;
+        }
+        self.stats.fill_nnz = self.sparse.fill_nnz();
+        self.stats.basis_nnz = self.sparse.basis_nnz();
+        true
     }
 
     /// Number of eta updates accumulated since the last refactorization.
     pub(crate) fn eta_count(&self) -> usize {
-        self.etas.len()
+        self.eta_count
     }
 
     /// FTRAN: overwrites `v` with `B⁻¹ v` (LU solve, then the eta file oldest
     /// first). Etas whose pivot is off-support are skipped entirely.
     pub(crate) fn ftran(&mut self, v: &mut SparseVector) {
         self.stats.solves += 1;
-        match &mut self.backend {
-            Backend::Sparse(lu) => {
-                if lu.ftran(v) {
-                    self.stats.hyper_sparse_solves += 1;
-                }
-            }
-            Backend::Dense(lu) => lu.ftran(v),
+        if self.use_dense {
+            self.dense_lu().ftran(v);
+        } else if self.sparse.ftran(v) {
+            self.stats.hyper_sparse_solves += 1;
         }
-        for eta in &self.etas {
+        for eta in &self.etas[..self.eta_count] {
             if !v.contains(eta.pivot) {
                 continue;
             }
@@ -1081,7 +1100,7 @@ impl Factorization {
     /// the LU transpose solve). Etas disjoint from the support are skipped.
     pub(crate) fn btran(&mut self, v: &mut SparseVector) {
         self.stats.solves += 1;
-        for eta in self.etas.iter().rev() {
+        for eta in self.etas[..self.eta_count].iter().rev() {
             let mut s = v.get(eta.pivot);
             let mut touched = v.contains(eta.pivot);
             for &(row, value) in &eta.entries {
@@ -1095,31 +1114,31 @@ impl Factorization {
                 v.set(eta.pivot, s / eta.pivot_value);
             }
         }
-        match &mut self.backend {
-            Backend::Sparse(lu) => {
-                if lu.btran(v) {
-                    self.stats.hyper_sparse_solves += 1;
-                }
-            }
-            Backend::Dense(lu) => lu.btran(v),
+        if self.use_dense {
+            self.dense_lu().btran(v);
+        } else if self.sparse.btran(v) {
+            self.stats.hyper_sparse_solves += 1;
         }
     }
 
     /// Appends the product-form update for a pivot on `row` with FTRAN image
-    /// `w` of the entering column. O(nnz(w)).
+    /// `w` of the entering column, into the next eta slot's own buffer.
+    /// O(nnz(w)).
     pub(crate) fn push_eta(&mut self, row: usize, w: &SparseVector) {
-        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(w.nonzeros().len());
+        if self.eta_count == self.etas.len() {
+            self.etas.push(Eta::default());
+        }
+        let eta = &mut self.etas[self.eta_count];
+        self.eta_count += 1;
+        eta.pivot = row;
+        eta.pivot_value = w.get(row);
+        eta.entries.clear();
         for &i in w.nonzeros() {
             let value = w.get(i);
             if i != row && value.abs() > ZERO_TOL {
-                entries.push((i, value));
+                eta.entries.push((i, value));
             }
         }
-        self.etas.push(Eta {
-            pivot: row,
-            pivot_value: w.get(row),
-            entries,
-        });
     }
 }
 

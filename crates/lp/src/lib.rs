@@ -57,5 +57,6 @@ pub use error::{LpError, LpResult};
 pub use factor::{DenseLu, FactorStats, SparseLu, SparseVector};
 pub use mip::{MipSolver, SolveLimits};
 pub use model::{Model, Relation, Sense, VarId};
+pub use revised::SimplexWorkspace;
 pub use simplex::SimplexOptions;
 pub use solution::{LpSolution, LpStatus, MipSolution, MipStatus};

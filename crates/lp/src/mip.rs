@@ -20,6 +20,14 @@
 //! models no longer pay dense linear algebra per node. Set
 //! [`SimplexOptions::dense_lu`] in [`MipSolver::simplex_options`] to pin a
 //! whole branch-and-bound run to the dense oracle backend.
+//!
+//! A solve keeps **one [`SimplexWorkspace`]** for all its nodes: each node's
+//! relaxation refills the same factorization, bound and scratch buffers
+//! ([`RevisedLp::solve_node_in`]), so a node allocates only its outputs —
+//! the relaxation's values and basis snapshot — plus one shared link per
+//! branching: children hold their path's bounds as a parent-linked chain of
+//! branching decisions instead of each copying the list, and the chain is
+//! replayed root first into a reused buffer when the node is solved.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -28,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::LpResult;
 use crate::model::{Model, Sense, VarId};
-use crate::revised::{BasisSnapshot, RevisedLp};
+use crate::revised::{BasisSnapshot, RevisedLp, SimplexWorkspace};
 use crate::simplex::{self, SimplexOptions};
 use crate::solution::{LpStatus, MipSolution, MipStatus};
 
@@ -84,13 +92,55 @@ pub struct MipSolver {
     pub simplex_options: SimplexOptions,
 }
 
+/// One branching decision: `var ≤ floor` on the down side, `var ≥ ceil` on
+/// the up side. Both children share it, and it links to the side of its own
+/// parent, so a node's accumulated bounds are a chain up to the root that
+/// costs one allocation per branching instead of a copied list per child.
+struct Branching {
+    var: VarId,
+    floor: f64,
+    ceil: f64,
+    parent: Option<BranchSide>,
+}
+
+/// One side of a [`Branching`]: the last bound on a node's path.
+#[derive(Clone)]
+struct BranchSide {
+    branching: Arc<Branching>,
+    up: bool,
+}
+
+impl BranchSide {
+    /// The bound this side adds, as `(var, lower, upper)`.
+    fn bound(&self) -> (VarId, f64, f64) {
+        let b = &*self.branching;
+        if self.up {
+            (b.var, b.ceil, f64::INFINITY)
+        } else {
+            (b.var, f64::NEG_INFINITY, b.floor)
+        }
+    }
+}
+
+/// Fills `bounds` with the bounds along `side`'s path, root first (the
+/// order in which they were added).
+fn collect_bounds(side: Option<&BranchSide>, bounds: &mut Vec<(VarId, f64, f64)>) {
+    bounds.clear();
+    let mut side = side;
+    while let Some(s) = side {
+        bounds.push(s.bound());
+        side = s.branching.parent.as_ref();
+    }
+    bounds.reverse();
+}
+
 /// An open node of the search tree.
 struct Node {
     /// LP bound of the parent (used for best-first ordering before the node's
     /// own relaxation is solved).
     bound: f64,
-    /// Additional bounds accumulated along the branch: `(var, lower, upper)`.
-    bounds: Vec<(VarId, f64, f64)>,
+    /// The last branching on the path to this node (`None` at the root).
+    side: Option<BranchSide>,
     /// Depth in the tree, used to favour diving on ties.
     depth: usize,
     /// The parent's optimal basis: the dual-simplex warm start for this
@@ -247,10 +297,12 @@ impl MipSolver {
         }
 
         // Internally work on a minimization problem.
+        let negated;
         let work_model = if minimize {
-            model.clone()
+            model
         } else {
-            negate_objective(model)
+            negated = negate_objective(model);
+            &negated
         };
 
         let mut nodes_explored = 0usize;
@@ -286,12 +338,19 @@ impl MipSolver {
             .map(|f| if minimize { f } else { -f })
             .unwrap_or(f64::NEG_INFINITY);
         // The sparse standard form is shared by every node; only bounds vary.
-        let relaxation = RevisedLp::new(&work_model)?;
+        // So is one simplex workspace: every node's relaxation refills the
+        // same buffers, and a node allocates only its outcome.
+        let relaxation = RevisedLp::new(work_model)?;
+        let mut workspace = SimplexWorkspace::default();
+        let mut node_bounds: Vec<(VarId, f64, f64)> = Vec::new();
+        // The primal heuristic's rounded point, copied out only when it
+        // improves the incumbent.
+        let mut rounded: Vec<f64> = Vec::new();
         let mut best_bound = floor.max(f64::NEG_INFINITY);
         let mut open = BinaryHeap::new();
         open.push(Node {
             bound: f64::NEG_INFINITY,
-            bounds: Vec::new(),
+            side: None,
             depth: 0,
             warm_basis: None,
         });
@@ -331,8 +390,10 @@ impl MipSolver {
             }
 
             nodes_explored += 1;
-            let lp = relaxation.solve_node(
-                &node.bounds,
+            collect_bounds(node.side.as_ref(), &mut node_bounds);
+            let lp = relaxation.solve_node_in(
+                &mut workspace,
+                &node_bounds,
                 node.warm_basis.as_deref(),
                 &self.simplex_options,
             );
@@ -374,9 +435,9 @@ impl MipSolver {
             // feasible. For covering-style problems (like MinCost) rounding up
             // usually yields a feasible incumbent immediately; running it at
             // every node keeps the incumbent tight and the tree small.
-            if let Some(candidate) = rounded_candidate(&work_model, &integer_vars, &lp.values) {
-                let obj = work_model.objective_value(&candidate);
-                update_incumbent(&mut incumbent, obj, candidate);
+            if rounded_candidate(work_model, &integer_vars, &lp.values, &mut rounded) {
+                let obj = work_model.objective_value(&rounded);
+                update_incumbent(&mut incumbent, obj, || rounded.clone());
             }
             // The rounding may have tightened the incumbent enough to close
             // this node without branching.
@@ -390,24 +451,30 @@ impl MipSolver {
             match most_fractional(&integer_vars, &lp.values, self.limits.integrality_tol) {
                 None => {
                     // Integer feasible: candidate incumbent.
-                    update_incumbent(&mut incumbent, node_bound, lp.values);
+                    update_incumbent(&mut incumbent, node_bound, || lp.values);
                 }
                 Some((var, value)) => {
-                    let floor = value.floor();
-                    let ceil = value.ceil();
-                    let mut down_bounds = node.bounds.clone();
-                    down_bounds.push((var, f64::NEG_INFINITY, floor));
-                    let mut up_bounds = node.bounds.clone();
-                    up_bounds.push((var, ceil, f64::INFINITY));
+                    let branching = Arc::new(Branching {
+                        var,
+                        floor: value.floor(),
+                        ceil: value.ceil(),
+                        parent: node.side,
+                    });
                     open.push(Node {
                         bound: node_bound,
-                        bounds: down_bounds,
+                        side: Some(BranchSide {
+                            branching: branching.clone(),
+                            up: false,
+                        }),
                         depth: node.depth + 1,
                         warm_basis: lp.basis.clone(),
                     });
                     open.push(Node {
                         bound: node_bound,
-                        bounds: up_bounds,
+                        side: Some(BranchSide {
+                            branching,
+                            up: true,
+                        }),
                         depth: node.depth + 1,
                         warm_basis: lp.basis,
                     });
@@ -554,31 +621,41 @@ fn most_fractional(integer_vars: &[VarId], values: &[f64], tol: f64) -> Option<(
     best.map(|(var, value, _)| (var, value))
 }
 
-/// Rounds integer variables of an LP point up and down and returns the first
-/// feasible combination found (up-rounding first, which suits covering
-/// constraints).
-fn rounded_candidate(model: &Model, integer_vars: &[VarId], values: &[f64]) -> Option<Vec<f64>> {
-    let mut up = values.to_vec();
+/// Rounds integer variables of an LP point up and down into `candidate` and
+/// reports whether a feasible combination was found (up-rounding first,
+/// which suits covering constraints).
+fn rounded_candidate(
+    model: &Model,
+    integer_vars: &[VarId],
+    values: &[f64],
+    candidate: &mut Vec<f64>,
+) -> bool {
+    candidate.clear();
+    candidate.extend_from_slice(values);
     for &var in integer_vars {
-        up[var.index()] = up[var.index()].ceil();
+        candidate[var.index()] = candidate[var.index()].ceil();
     }
-    if model.is_feasible(&up, 1e-6) {
-        return Some(up);
+    if model.is_feasible(candidate, 1e-6) {
+        return true;
     }
-    let mut nearest = values.to_vec();
+    candidate.clear();
+    candidate.extend_from_slice(values);
     for &var in integer_vars {
-        nearest[var.index()] = nearest[var.index()].round();
+        candidate[var.index()] = candidate[var.index()].round();
     }
-    if model.is_feasible(&nearest, 1e-6) {
-        return Some(nearest);
-    }
-    None
+    model.is_feasible(candidate, 1e-6)
 }
 
-fn update_incumbent(incumbent: &mut Option<(f64, Vec<f64>)>, objective: f64, values: Vec<f64>) {
+/// Replaces the incumbent when `objective` improves on it; `values` is only
+/// called (and its point only copied) when it does.
+fn update_incumbent(
+    incumbent: &mut Option<(f64, Vec<f64>)>,
+    objective: f64,
+    values: impl FnOnce() -> Vec<f64>,
+) {
     match incumbent {
         Some((best, _)) if objective >= *best - 1e-12 => {}
-        _ => *incumbent = Some((objective, values)),
+        _ => *incumbent = Some((objective, values())),
     }
 }
 

@@ -23,8 +23,8 @@
 //! graph), and etas whose pivot is off-support are skipped outright. The
 //! downstream loops — ratio tests, basic-value updates, eta construction —
 //! iterate the support too, so one iteration costs O(entries touched). All
-//! scratch lives in the factorization and the solver state; no per-call
-//! allocation survives on the hot path. Every [`REFACTOR_EVERY`] pivots the
+//! scratch lives in a [`SimplexWorkspace`]; no per-call allocation survives
+//! on the hot path. Every [`REFACTOR_EVERY`] pivots the
 //! eta file is folded into a fresh LU, bounding per-iteration cost and
 //! floating-point drift. The pre-rewrite dense LU remains available as a
 //! differential oracle via [`SimplexOptions::dense_lu`].
@@ -52,6 +52,15 @@
 //! rows the bound change made primal infeasible. When the warm path hits
 //! numerical trouble it falls back to a cold primal solve, so warm starts are
 //! purely a performance optimization, never a correctness risk.
+//!
+//! Every solve runs in a [`SimplexWorkspace`] — the factorization with its
+//! sparse LU workspace and eta buffers, the bounds, statuses, basis and
+//! basic values, and the pivot loops' scratch. [`RevisedLp::solve_node_in`]
+//! borrows one from its caller and refills its buffers in place, so branch
+//! and bound keeps **one workspace per MIP solve** and each node allocates
+//! only its outputs (values and basis snapshot). [`RevisedLp::solve`] and
+//! [`RevisedLp::solve_node`] are the same path on a fresh workspace; every
+//! solve overwrites what it reads, so reuse never changes a result.
 
 // The pivot kernels are written index-first to mirror the textbook linear
 // algebra (parallel walks of `w`/`xb`/`basis`); iterator rewrites obscure the
@@ -182,10 +191,12 @@ pub struct RevisedOutcome {
 /// Emits one solve's counters to the ambient telemetry sink (one relaxed
 /// atomic load when no sink is installed — see `rental-obs`). Telemetry is
 /// a pure copy of the outcome; it never feeds back into pivoting.
-fn emit_lp_telemetry(outcome: &RevisedOutcome) {
+/// `warm_fallback` marks a warm start that gave up and re-solved cold.
+fn emit_lp_telemetry(outcome: &RevisedOutcome, warm_fallback: bool) {
     rental_obs::with_sink(|sink| {
         let stats = &outcome.factor_stats;
         sink.counter("lp.solves", 1);
+        sink.counter("lp.warm_fallbacks", warm_fallback as u64);
         sink.counter("lp.iterations", outcome.iterations as u64);
         sink.counter("lp.bound_flips", outcome.bound_flips as u64);
         sink.counter("lp.refactorizations", stats.refactorizations as u64);
@@ -266,15 +277,19 @@ impl RevisedLp {
         }
         for col in cols.iter_mut().take(n_struct) {
             col.sort_unstable_by_key(|&(row, _)| row);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(col.len());
-            for &(row, coeff) in col.iter() {
-                match merged.last_mut() {
-                    Some((last_row, sum)) if *last_row == row => *sum += coeff,
-                    _ => merged.push((row, coeff)),
+            // Merge in place: `merged` entries are settled, the rest unread.
+            let mut merged = 0;
+            for idx in 0..col.len() {
+                let (row, coeff) = col[idx];
+                if merged > 0 && col[merged - 1].0 == row {
+                    col[merged - 1].1 += coeff;
+                } else {
+                    col[merged] = (row, coeff);
+                    merged += 1;
                 }
             }
-            merged.retain(|&(_, coeff)| coeff.abs() > COEFF_EPS);
-            *col = merged;
+            col.truncate(merged);
+            col.retain(|&(_, coeff)| coeff.abs() > COEFF_EPS);
         }
 
         let mut cost = vec![0.0; n_total];
@@ -372,19 +387,40 @@ impl RevisedLp {
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
     ) -> RevisedOutcome {
-        let outcome = self.solve_node_inner(tighten, warm, options);
-        emit_lp_telemetry(&outcome);
-        outcome
+        self.solve_node_in(&mut SimplexWorkspace::default(), tighten, warm, options)
     }
 
-    fn solve_node_inner(
+    /// [`solve_node`](Self::solve_node) in a caller-owned workspace. The
+    /// outcome is bit-identical to `solve_node`'s whatever the workspace held
+    /// before; reusing one workspace across solves only saves allocations,
+    /// so a branch-and-bound run that threads one workspace through all its
+    /// nodes allocates per node just the outcome's values and basis.
+    pub fn solve_node_in(
         &self,
+        workspace: &mut SimplexWorkspace,
         tighten: &[(VarId, f64, f64)],
         warm: Option<&BasisSnapshot>,
         options: &SimplexOptions,
     ) -> RevisedOutcome {
-        let mut lower = self.base_lower.clone();
-        let mut upper = self.base_upper.clone();
+        let (outcome, warm_fallback) = self.solve_node_inner(workspace, tighten, warm, options);
+        emit_lp_telemetry(&outcome, warm_fallback);
+        outcome
+    }
+
+    /// The solve behind [`solve_node_in`](Self::solve_node_in); the flag is
+    /// `true` when a warm start gave up and the node was re-solved cold.
+    fn solve_node_inner(
+        &self,
+        ws: &mut SimplexWorkspace,
+        tighten: &[(VarId, f64, f64)],
+        warm: Option<&BasisSnapshot>,
+        options: &SimplexOptions,
+    ) -> (RevisedOutcome, bool) {
+        let (lower, upper) = (&mut ws.node_lower, &mut ws.node_upper);
+        lower.clear();
+        lower.extend_from_slice(&self.base_lower);
+        upper.clear();
+        upper.extend_from_slice(&self.base_upper);
         for &(var, lo, up) in tighten {
             let j = var.index();
             lower[j] = lower[j].max(lo);
@@ -392,7 +428,7 @@ impl RevisedLp {
         }
         for j in 0..self.n_struct {
             if lower[j] > upper[j] + options.tol {
-                return RevisedOutcome {
+                let outcome = RevisedOutcome {
                     status: LpStatus::Infeasible,
                     values: vec![],
                     iterations: 0,
@@ -402,6 +438,7 @@ impl RevisedLp {
                     bland_escalations: 0,
                     basis: None,
                 };
+                return (outcome, false);
             }
             // A tightened pair may cross by a hair (floor/ceil of an almost
             // integral value); collapse it so the bound stays consistent.
@@ -411,20 +448,22 @@ impl RevisedLp {
         }
 
         if let Some(snapshot) = warm {
-            let mut state = SolverState::from_snapshot(self, &lower, &upper, snapshot, options);
-            if let Some(state) = state.as_mut() {
-                let status = state.dual_simplex();
-                match status {
-                    InnerStatus::Optimal => return self.extract(state, LpStatus::Optimal),
-                    InnerStatus::Infeasible => return state.failed(LpStatus::Infeasible),
+            let mut state = SolverState::new(self, ws, options);
+            if state.restore(snapshot) {
+                match state.dual_simplex() {
+                    InnerStatus::Optimal => {
+                        return (self.extract(&mut state, LpStatus::Optimal), false)
+                    }
+                    InnerStatus::Infeasible => return (state.failed(LpStatus::Infeasible), false),
                     // Unbounded cannot arise from a dual-feasible start with
                     // unchanged costs; treat it, limits and instability as a
                     // reason to re-solve cold.
                     _ => {}
                 }
             }
+            return (self.cold_solve(ws, options), true);
         }
-        self.cold_solve(&lower, &upper, options)
+        (self.cold_solve(ws, options), false)
     }
 
     /// Cold two-phase primal solve under the given working bounds, with a
@@ -443,8 +482,8 @@ impl RevisedLp {
     /// [`LpStatus::IterationLimit`]; numerical failure is an outcome, never a
     /// panic. Each rung is bounded by `options.max_iterations`, so the ladder
     /// multiplies the worst-case pivot count by at most three.
-    fn cold_solve(&self, lower: &[f64], upper: &[f64], options: &SimplexOptions) -> RevisedOutcome {
-        let (outcome, singular) = self.cold_attempt(lower, upper, options);
+    fn cold_solve(&self, ws: &mut SimplexWorkspace, options: &SimplexOptions) -> RevisedOutcome {
+        let (outcome, singular) = self.cold_attempt(ws, options);
         if !singular {
             return outcome;
         }
@@ -452,7 +491,7 @@ impl RevisedLp {
             bland_after: 0,
             ..*options
         };
-        let (outcome, singular) = self.cold_attempt(lower, upper, &retry);
+        let (outcome, singular) = self.cold_attempt(ws, &retry);
         if !singular || options.dense_lu {
             return outcome;
         }
@@ -461,23 +500,24 @@ impl RevisedLp {
             dense_lu: true,
             ..*options
         };
-        self.cold_attempt(lower, upper, &dense).0
+        self.cold_attempt(ws, &dense).0
     }
 
     /// One rung of [`cold_solve`](Self::cold_solve): a two-phase primal
-    /// attempt. The second component is `true` iff the attempt died on a
-    /// singular refactorization (the recoverable case the ladder retries);
-    /// conclusive outcomes and plain iteration exhaustion return `false`.
+    /// attempt from the node bounds held in `ws`. The second component is
+    /// `true` iff the attempt died on a singular refactorization (the
+    /// recoverable case the ladder retries); conclusive outcomes and plain
+    /// iteration exhaustion return `false`.
     fn cold_attempt(
         &self,
-        lower: &[f64],
-        upper: &[f64],
+        ws: &mut SimplexWorkspace,
         options: &SimplexOptions,
     ) -> (RevisedOutcome, bool) {
-        let mut state = SolverState::cold(self, lower, upper, options);
+        let mut state = SolverState::new(self, ws, options);
+        state.load_cold();
         if state.needs_phase1 {
-            let phase1_cost = state.phase1_cost.clone();
-            match state.primal_simplex(&phase1_cost) {
+            let (status, infeasibility) = state.phase1();
+            match status {
                 InnerStatus::Optimal => {}
                 InnerStatus::Unstable => return (state.failed(LpStatus::IterationLimit), true),
                 // Phase 1 minimizes a sum of absolute values, which is
@@ -485,7 +525,6 @@ impl RevisedLp {
                 // it surfaces as the recoverable IterationLimit.
                 _ => return (state.failed(LpStatus::IterationLimit), false),
             }
-            let infeasibility = state.phase1_infeasibility(&phase1_cost);
             if infeasibility > options.tol.max(DRIFT_TOL) {
                 return (state.failed(LpStatus::Infeasible), false);
             }
@@ -496,8 +535,7 @@ impl RevisedLp {
                 return (state.failed(LpStatus::IterationLimit), true);
             }
         }
-        let cost = self.cost.clone();
-        match state.primal_simplex(&cost) {
+        match state.primal_simplex(&self.cost) {
             InnerStatus::Optimal => (self.extract(&mut state, LpStatus::Optimal), false),
             InnerStatus::Unbounded => (state.failed(LpStatus::Unbounded), false),
             InnerStatus::Infeasible => (state.failed(LpStatus::Infeasible), false),
@@ -514,7 +552,10 @@ impl RevisedLp {
         // actually drifted. The differential suite against the dense tableau
         // pins the resulting tolerance.
         if state.max_residual() > DRIFT_TOL
-            && state.factor.refactorize(self.m, &self.cols, &state.basis)
+            && state
+                .ws
+                .factor
+                .refactorize(self.m, &self.cols, &state.ws.basis)
         {
             state.compute_xb();
         }
@@ -522,21 +563,21 @@ impl RevisedLp {
         for (j, value) in values.iter_mut().enumerate() {
             *value = state.column_value(j);
         }
-        for (r, &col) in state.basis.iter().enumerate() {
+        for (r, &col) in state.ws.basis.iter().enumerate() {
             if col < self.n_struct {
-                values[col] = state.xb[r];
+                values[col] = state.ws.xb[r];
             }
         }
         let snapshot = BasisSnapshot {
-            basis: state.basis.clone(),
-            status: state.status.clone(),
+            basis: state.ws.basis.clone(),
+            status: state.ws.status.clone(),
         };
         RevisedOutcome {
             status,
             values,
             iterations: state.iterations,
             bound_flips: state.flips,
-            factor_stats: state.factor.stats,
+            factor_stats: state.ws.factor.stats,
             stall_perturbations: state.stall_perturbations,
             bland_escalations: state.bland_escalations,
             basis: Some(Arc::new(snapshot)),
@@ -544,17 +585,61 @@ impl RevisedLp {
     }
 }
 
-/// Mutable state of one solve: working bounds, statuses, basis, factorization
-/// and the hoisted sparse scratch vectors of the pivot loops.
-struct SolverState<'a> {
-    lp: &'a RevisedLp,
-    options: &'a SimplexOptions,
+/// The reusable buffers of simplex solves: the basis factorization (sparse
+/// LU workspace, `L`/`U` vectors, eta entry buffers), the node and working
+/// bounds, statuses, basis and basic values, and the scratch of the pivot
+/// loops.
+///
+/// [`RevisedLp::solve_node_in`] borrows a workspace for one solve and leaves
+/// every buffer in place for the next, so a branch-and-bound run that keeps
+/// one workspace allocates per node only what the node returns. Every solve
+/// overwrites what it reads: results never depend on what the workspace held
+/// before, and any workspace serves any [`RevisedLp`].
+#[derive(Debug, Default)]
+pub struct SimplexWorkspace {
+    factor: Factorization,
+    /// Bounds of the node being solved (the model's, tightened); every
+    /// attempt of the solve starts its working bounds from these.
+    node_lower: Vec<f64>,
+    node_upper: Vec<f64>,
+    /// Working bounds of the current attempt (phase 1 moves the
+    /// artificials').
     lower: Vec<f64>,
     upper: Vec<f64>,
     status: Vec<ColStatus>,
     basis: Vec<usize>,
     xb: Vec<f64>,
-    factor: Factorization,
+    phase1_cost: Vec<f64>,
+    /// Row residuals of the cold start and of the extraction drift check.
+    residual: Vec<f64>,
+    /// Right-hand side of the basic-value recompute.
+    rhs: SparseVector,
+    scratch: Scratch,
+}
+
+/// Scratch of the pivot loops, lent out whole while a loop runs.
+#[derive(Debug, Default)]
+struct Scratch {
+    y: SparseVector,
+    w: SparseVector,
+    rho: SparseVector,
+    alpha: SparseVector,
+    /// Combined FTRAN image of the dual ratio test's bound flips.
+    wf: SparseVector,
+    /// Dual ratio-test candidates `(col, alpha, ratio)`.
+    candidates: Vec<(usize, f64, f64)>,
+    /// Candidate columns in ascending order, under Bland's rule.
+    bland_order: Vec<usize>,
+    /// Bound flips `(col, delta)` of the current dual iteration.
+    flips: Vec<(usize, f64)>,
+}
+
+/// One attempt of a solve: the per-attempt counters, working in a borrowed
+/// [`SimplexWorkspace`].
+struct SolverState<'a> {
+    lp: &'a RevisedLp,
+    options: &'a SimplexOptions,
+    ws: &'a mut SimplexWorkspace,
     iterations: usize,
     flips: usize,
     /// Anti-stall perturbations applied (see the primal loop's ladder).
@@ -562,146 +647,137 @@ struct SolverState<'a> {
     /// Escalations to Bland's rule after the perturbation rung was spent.
     bland_escalations: usize,
     needs_phase1: bool,
-    phase1_cost: Vec<f64>,
     /// Rotating partial-pricing cursor (persists across iterations so
     /// sections take turns).
     price_cursor: usize,
-    // Hoisted scratch (one allocation per solve, reused by every iteration).
-    y: SparseVector,
-    w: SparseVector,
-    rho: SparseVector,
-    alpha: SparseVector,
-    aux: SparseVector,
 }
 
 impl<'a> SolverState<'a> {
-    fn empty(lp: &'a RevisedLp, options: &'a SimplexOptions) -> SolverState<'a> {
+    /// Starts an attempt in `ws`: zeroed counters, a reset factorization on
+    /// the backend `options` selects, and the working bounds copied from the
+    /// node bounds. The basis is loaded by [`load_cold`](Self::load_cold) or
+    /// [`restore`](Self::restore).
+    fn new(
+        lp: &'a RevisedLp,
+        ws: &'a mut SimplexWorkspace,
+        options: &'a SimplexOptions,
+    ) -> SolverState<'a> {
+        ws.factor.reset(options.dense_lu);
+        ws.lower.clear();
+        ws.lower.extend_from_slice(&ws.node_lower);
+        ws.upper.clear();
+        ws.upper.extend_from_slice(&ws.node_upper);
+        ws.xb.clear();
+        ws.xb.resize(lp.m, 0.0);
         SolverState {
             lp,
             options,
-            lower: Vec::new(),
-            upper: Vec::new(),
-            status: Vec::new(),
-            basis: Vec::new(),
-            xb: vec![0.0; lp.m],
-            factor: Factorization::new(options.dense_lu),
+            ws,
             iterations: 0,
             flips: 0,
             stall_perturbations: 0,
             bland_escalations: 0,
             needs_phase1: false,
-            phase1_cost: Vec::new(),
             price_cursor: 0,
-            // Scratch vectors start empty and grow on first use
-            // (`SparseVector::reset`), so each path of a solve only pays for
-            // the buffers it actually touches.
-            y: SparseVector::default(),
-            w: SparseVector::default(),
-            rho: SparseVector::default(),
-            alpha: SparseVector::default(),
-            aux: SparseVector::default(),
         }
     }
 
     /// Builds the initial all-slack / artificial basis for a cold solve.
-    fn cold(
-        lp: &'a RevisedLp,
-        lower: &[f64],
-        upper: &[f64],
-        options: &'a SimplexOptions,
-    ) -> SolverState<'a> {
+    fn load_cold(&mut self) {
+        let lp = self.lp;
         let m = lp.m;
-        let mut state = SolverState::empty(lp, options);
-        state.lower = lower.to_vec();
-        state.upper = upper.to_vec();
-        state.status = vec![ColStatus::AtLower; lp.n_total];
-        state.basis = vec![0; m];
-        state.phase1_cost = vec![0.0; lp.n_total];
+        let ws = &mut *self.ws;
+        ws.status.clear();
+        ws.status.resize(lp.n_total, ColStatus::AtLower);
+        ws.basis.clear();
+        ws.basis.resize(m, 0);
+        ws.phase1_cost.clear();
+        ws.phase1_cost.resize(lp.n_total, 0.0);
         // Nonbasic structural variables rest on a finite bound (or zero).
         for j in 0..lp.n_total {
-            state.status[j] = if state.lower[j].is_finite() {
+            ws.status[j] = if ws.lower[j].is_finite() {
                 ColStatus::AtLower
-            } else if state.upper[j].is_finite() {
+            } else if ws.upper[j].is_finite() {
                 ColStatus::AtUpper
             } else {
                 ColStatus::Free
             };
         }
         // Row residuals with every column nonbasic.
-        let mut residual = lp.rhs.clone();
+        let mut residual = mem::take(&mut self.ws.residual);
+        residual.clear();
+        residual.extend_from_slice(&lp.rhs);
         for j in 0..lp.n_struct {
-            let value = state.column_value(j);
+            let value = self.column_value(j);
             if value != 0.0 {
                 for &(r, a) in &lp.cols[j] {
                     residual[r] -= a * value;
                 }
             }
         }
+        let tol = self.options.tol;
+        let ws = &mut *self.ws;
         for r in 0..m {
             let slack = lp.n_struct + r;
             let art = lp.n_struct + m + r;
-            let (sl, su) = (state.lower[slack], state.upper[slack]);
-            if residual[r] >= sl - options.tol && residual[r] <= su + options.tol {
-                state.basis[r] = slack;
-                state.status[slack] = ColStatus::Basic;
-                state.xb[r] = residual[r];
+            let (sl, su) = (ws.lower[slack], ws.upper[slack]);
+            if residual[r] >= sl - tol && residual[r] <= su + tol {
+                ws.basis[r] = slack;
+                ws.status[slack] = ColStatus::Basic;
+                ws.xb[r] = residual[r];
             } else {
                 // Park the slack on its nearest bound and let the artificial
                 // absorb what is left; phase 1 will drive it back to zero.
                 let parked = if residual[r] > su { su } else { sl };
-                state.status[slack] = if parked == su {
+                ws.status[slack] = if parked == su {
                     ColStatus::AtUpper
                 } else {
                     ColStatus::AtLower
                 };
                 let leftover = residual[r] - parked;
-                state.lower[art] = leftover.min(0.0);
-                state.upper[art] = leftover.max(0.0);
-                state.phase1_cost[art] = if leftover >= 0.0 { 1.0 } else { -1.0 };
-                state.basis[r] = art;
-                state.status[art] = ColStatus::Basic;
-                state.xb[r] = leftover;
-                state.needs_phase1 = true;
+                ws.lower[art] = leftover.min(0.0);
+                ws.upper[art] = leftover.max(0.0);
+                ws.phase1_cost[art] = if leftover >= 0.0 { 1.0 } else { -1.0 };
+                ws.basis[r] = art;
+                ws.status[art] = ColStatus::Basic;
+                ws.xb[r] = leftover;
+                self.needs_phase1 = true;
             }
         }
+        ws.residual = residual;
         // The initial basis is a signed permutation of unit columns, which
         // both backends factorize trivially (zero fill).
-        let ok = state.factor.refactorize(m, &lp.cols, &state.basis);
+        let ok = ws.factor.refactorize(m, &lp.cols, &ws.basis);
         debug_assert!(ok, "unit-column start basis cannot be singular");
-        state
     }
 
     /// Restores a snapshot taken on a related solve (same matrix, different
-    /// bounds). Returns `None` when the recorded basis is singular under
+    /// bounds), copying it into the workspace's buffers. Returns `false`
+    /// when the recorded basis does not fit this LP or is singular under
     /// refactorization — the caller then solves cold.
-    fn from_snapshot(
-        lp: &'a RevisedLp,
-        lower: &[f64],
-        upper: &[f64],
-        snapshot: &BasisSnapshot,
-        options: &'a SimplexOptions,
-    ) -> Option<SolverState<'a>> {
+    fn restore(&mut self, snapshot: &BasisSnapshot) -> bool {
+        let lp = self.lp;
         if snapshot.basis.len() != lp.m || snapshot.status.len() != lp.n_total {
-            return None;
+            return false;
         }
-        let mut state = SolverState::empty(lp, options);
-        state.lower = lower.to_vec();
-        state.upper = upper.to_vec();
-        state.status = snapshot.status.clone();
-        state.basis = snapshot.basis.clone();
+        let ws = &mut *self.ws;
+        ws.status.clear();
+        ws.status.extend_from_slice(&snapshot.status);
+        ws.basis.clear();
+        ws.basis.extend_from_slice(&snapshot.basis);
         // Re-anchor nonbasic statuses onto the (possibly moved) bounds.
         for j in 0..lp.n_total {
-            match state.status[j] {
+            match ws.status[j] {
                 ColStatus::Basic => {}
-                ColStatus::AtLower if !state.lower[j].is_finite() => {
-                    state.status[j] = if state.upper[j].is_finite() {
+                ColStatus::AtLower if !ws.lower[j].is_finite() => {
+                    ws.status[j] = if ws.upper[j].is_finite() {
                         ColStatus::AtUpper
                     } else {
                         ColStatus::Free
                     };
                 }
-                ColStatus::AtUpper if !state.upper[j].is_finite() => {
-                    state.status[j] = if state.lower[j].is_finite() {
+                ColStatus::AtUpper if !ws.upper[j].is_finite() => {
+                    ws.status[j] = if ws.lower[j].is_finite() {
                         ColStatus::AtLower
                     } else {
                         ColStatus::Free
@@ -710,11 +786,7 @@ impl<'a> SolverState<'a> {
                 _ => {}
             }
         }
-        if !state.factor.refactorize(lp.m, &lp.cols, &state.basis) {
-            return None;
-        }
-        state.compute_xb();
-        Some(state)
+        self.refresh_factorization()
     }
 
     /// A non-optimal outcome carrying the iteration and factorization
@@ -725,7 +797,7 @@ impl<'a> SolverState<'a> {
             values: vec![],
             iterations: self.iterations,
             bound_flips: self.flips,
-            factor_stats: self.factor.stats,
+            factor_stats: self.ws.factor.stats,
             stall_perturbations: self.stall_perturbations,
             bland_escalations: self.bland_escalations,
             basis: None,
@@ -735,22 +807,31 @@ impl<'a> SolverState<'a> {
     /// Current value of a column: basic values live in `xb`, nonbasic ones on
     /// their bound.
     fn column_value(&self, j: usize) -> f64 {
-        match self.status[j] {
+        match self.ws.status[j] {
             ColStatus::Basic => {
                 // Callers that need basic values look them up through `xb`
                 // directly; this path is only used for nonbasic columns and
                 // the final extraction, where basic columns are overwritten.
                 0.0
             }
-            ColStatus::AtLower => self.lower[j],
-            ColStatus::AtUpper => self.upper[j],
+            ColStatus::AtLower => self.ws.lower[j],
+            ColStatus::AtUpper => self.ws.upper[j],
             ColStatus::Free => 0.0,
         }
     }
 
+    /// Runs `f` with the pivot-loop scratch lent out of the workspace, so
+    /// the loop can fill it while also mutating the state.
+    fn with_scratch<R>(&mut self, f: impl FnOnce(&mut Self, &mut Scratch) -> R) -> R {
+        let mut scratch = mem::take(&mut self.ws.scratch);
+        let result = f(self, &mut scratch);
+        self.ws.scratch = scratch;
+        result
+    }
+
     /// Recomputes the basic values `x_B = B⁻¹ (b − N x_N)` from scratch.
     fn compute_xb(&mut self) {
-        let mut v = mem::take(&mut self.aux);
+        let mut v = mem::take(&mut self.ws.rhs);
         v.reset(self.lp.m);
         for (r, &b) in self.lp.rhs.iter().enumerate() {
             if b != 0.0 {
@@ -758,7 +839,7 @@ impl<'a> SolverState<'a> {
             }
         }
         for j in 0..self.lp.n_total {
-            if self.status[j] == ColStatus::Basic {
+            if self.ws.status[j] == ColStatus::Basic {
                 continue;
             }
             let value = self.column_value(j);
@@ -768,18 +849,20 @@ impl<'a> SolverState<'a> {
                 }
             }
         }
-        self.factor.ftran(&mut v);
+        self.ws.factor.ftran(&mut v);
         for i in 0..self.lp.m {
-            self.xb[i] = v.get(i);
+            self.ws.xb[i] = v.get(i);
         }
-        self.aux = v;
+        self.ws.rhs = v;
     }
 
     /// Largest row residual `|A x − b|` of the current point, in O(nnz).
-    fn max_residual(&self) -> f64 {
-        let mut residual: Vec<f64> = self.lp.rhs.iter().map(|&b| -b).collect();
+    fn max_residual(&mut self) -> f64 {
+        let mut residual = mem::take(&mut self.ws.residual);
+        residual.clear();
+        residual.extend(self.lp.rhs.iter().map(|&b| -b));
         for j in 0..self.lp.n_total {
-            let value = match self.status[j] {
+            let value = match self.ws.status[j] {
                 ColStatus::Basic => continue,
                 _ => self.column_value(j),
             };
@@ -789,23 +872,26 @@ impl<'a> SolverState<'a> {
                 }
             }
         }
-        for (r, &col) in self.basis.iter().enumerate() {
-            let value = self.xb[r];
+        for (r, &col) in self.ws.basis.iter().enumerate() {
+            let value = self.ws.xb[r];
             if value != 0.0 {
                 for &(row, a) in &self.lp.cols[col] {
                     residual[row] += a * value;
                 }
             }
         }
-        residual.iter().fold(0.0, |acc, &r| acc.max(r.abs()))
+        let max = residual.iter().fold(0.0_f64, |acc, &r| acc.max(r.abs()));
+        self.ws.residual = residual;
+        max
     }
 
     /// Refactorizes (folding the eta file) and recomputes the basic values.
     /// Returns `false` on a singular basis.
     fn refresh_factorization(&mut self) -> bool {
         if !self
+            .ws
             .factor
-            .refactorize(self.lp.m, &self.lp.cols, &self.basis)
+            .refactorize(self.lp.m, &self.lp.cols, &self.ws.basis)
         {
             return false;
         }
@@ -825,11 +911,11 @@ impl<'a> SolverState<'a> {
     /// Phase-1 objective value (total residual infeasibility).
     fn phase1_infeasibility(&self, phase1_cost: &[f64]) -> f64 {
         let mut total = 0.0;
-        for (r, &col) in self.basis.iter().enumerate() {
-            total += phase1_cost[col] * self.xb[r];
+        for (r, &col) in self.ws.basis.iter().enumerate() {
+            total += phase1_cost[col] * self.ws.xb[r];
         }
         for j in 0..self.lp.n_total {
-            if self.status[j] != ColStatus::Basic && phase1_cost[j] != 0.0 {
+            if self.ws.status[j] != ColStatus::Basic && phase1_cost[j] != 0.0 {
                 total += phase1_cost[j] * self.column_value(j);
             }
         }
@@ -841,14 +927,9 @@ impl<'a> SolverState<'a> {
     /// Returns `false` when a refactorization found the basis singular — the
     /// factorization is then unusable and the caller must abandon the solve.
     fn retire_artificials(&mut self) -> bool {
-        let mut rho = mem::take(&mut self.rho);
-        let mut w = mem::take(&mut self.w);
-        let mut alpha = mem::take(&mut self.alpha);
-        let ok = self.retire_artificials_inner(&mut rho, &mut w, &mut alpha);
-        self.rho = rho;
-        self.w = w;
-        self.alpha = alpha;
-        ok
+        self.with_scratch(|state, s| {
+            state.retire_artificials_inner(&mut s.rho, &mut s.w, &mut s.alpha)
+        })
     }
 
     fn retire_artificials_inner(
@@ -859,14 +940,14 @@ impl<'a> SolverState<'a> {
     ) -> bool {
         let art_start = self.lp.n_struct + self.lp.m;
         for j in art_start..self.lp.n_total {
-            self.lower[j] = 0.0;
-            self.upper[j] = 0.0;
-            if self.status[j] != ColStatus::Basic {
-                self.status[j] = ColStatus::AtLower;
+            self.ws.lower[j] = 0.0;
+            self.ws.upper[j] = 0.0;
+            if self.ws.status[j] != ColStatus::Basic {
+                self.ws.status[j] = ColStatus::AtLower;
             }
         }
         for r in 0..self.lp.m {
-            if self.basis[r] < art_start {
+            if self.ws.basis[r] < art_start {
                 continue;
             }
             // Row r of B⁻¹, then α_j = ρᵀ a_j accumulated row-wise over ρ's
@@ -875,7 +956,7 @@ impl<'a> SolverState<'a> {
             // artificial.
             rho.reset(self.lp.m);
             rho.set(r, 1.0);
-            self.factor.btran(rho);
+            self.ws.factor.btran(rho);
             alpha.reset(self.lp.n_total);
             for &row in rho.nonzeros() {
                 let x = rho.get(row);
@@ -890,7 +971,7 @@ impl<'a> SolverState<'a> {
             }
             let mut replacement: Option<usize> = None;
             for &j in alpha.nonzeros() {
-                if self.status[j] == ColStatus::Basic {
+                if self.ws.status[j] == ColStatus::Basic {
                     continue;
                 }
                 if alpha.get(j).abs() > ARTIFICIAL_PIVOT_TOL
@@ -907,20 +988,20 @@ impl<'a> SolverState<'a> {
             for &(i, a) in &self.lp.cols[q] {
                 w.set(i, a);
             }
-            self.factor.ftran(w);
+            self.ws.factor.ftran(w);
             if w.get(r).abs() < MIN_PIVOT {
                 continue;
             }
             // Degenerate swap: the artificial sits exactly at zero, so the
             // entering column keeps its bound value.
-            let art = self.basis[r];
+            let art = self.ws.basis[r];
             let entering_value = self.column_value(q);
-            self.status[art] = ColStatus::AtLower;
-            self.basis[r] = q;
-            self.status[q] = ColStatus::Basic;
-            self.xb[r] = entering_value;
-            self.factor.push_eta(r, w);
-            if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
+            self.ws.status[art] = ColStatus::AtLower;
+            self.ws.basis[r] = q;
+            self.ws.status[q] = ColStatus::Basic;
+            self.ws.xb[r] = entering_value;
+            self.ws.factor.push_eta(r, w);
+            if self.ws.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return false;
             }
         }
@@ -940,10 +1021,10 @@ impl<'a> SolverState<'a> {
         j: usize,
         tol: f64,
     ) -> Option<(usize, f64, bool)> {
-        let eligible_dir = match self.status[j] {
+        let eligible_dir = match self.ws.status[j] {
             ColStatus::Basic => return None,
             // Fixed columns can never move.
-            _ if self.lower[j] == self.upper[j] && self.status[j] != ColStatus::Free => {
+            _ if self.ws.lower[j] == self.ws.upper[j] && self.ws.status[j] != ColStatus::Free => {
                 return None
             }
             ColStatus::AtLower => Some(true),
@@ -1020,12 +1101,17 @@ impl<'a> SolverState<'a> {
     // Primal simplex (bounded variables).
     // ------------------------------------------------------------------
     fn primal_simplex(&mut self, cost: &[f64]) -> InnerStatus {
-        let mut y = mem::take(&mut self.y);
-        let mut w = mem::take(&mut self.w);
-        let status = self.primal_simplex_inner(cost, &mut y, &mut w);
-        self.y = y;
-        self.w = w;
-        status
+        self.with_scratch(|state, s| state.primal_simplex_inner(cost, &mut s.y, &mut s.w))
+    }
+
+    /// Phase 1 of a cold attempt: the primal simplex on the artificials'
+    /// cost. Returns its status and the phase-1 objective it ended at.
+    fn phase1(&mut self) -> (InnerStatus, f64) {
+        let cost = mem::take(&mut self.ws.phase1_cost);
+        let status = self.primal_simplex(&cost);
+        let infeasibility = self.phase1_infeasibility(&cost);
+        self.ws.phase1_cost = cost;
+        (status, infeasibility)
     }
 
     fn primal_simplex_inner(
@@ -1049,7 +1135,7 @@ impl<'a> SolverState<'a> {
         let mut perturbation_spent = false;
         let mut force_bland = false;
         for local_iter in 0..self.options.max_iterations {
-            if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
+            if self.ws.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return InnerStatus::Unstable;
             }
             if degenerate_streak >= self.options.stall_after.max(1) {
@@ -1069,13 +1155,13 @@ impl<'a> SolverState<'a> {
 
             // Pricing: y = B⁻ᵀ c_B, then reduced costs of nonbasic columns.
             y.reset(m);
-            for (r, &col) in self.basis.iter().enumerate() {
+            for (r, &col) in self.ws.basis.iter().enumerate() {
                 let c = active_cost[col];
                 if c != 0.0 {
                     y.set(r, c);
                 }
             }
-            self.factor.btran(y);
+            self.ws.factor.btran(y);
 
             let tol = self.options.tol;
             let Some((q, _, increase)) = self.price_entering(active_cost, y, use_bland) else {
@@ -1096,11 +1182,11 @@ impl<'a> SolverState<'a> {
             for &(r, a) in &self.lp.cols[q] {
                 w.set(r, a);
             }
-            self.factor.ftran(w);
+            self.ws.factor.ftran(w);
 
             // Ratio test: the entering column moves by t ≥ 0 in direction
             // `dir`; basic values change by −dir · w · t.
-            let range = self.upper[q] - self.lower[q]; // may be +inf
+            let range = self.ws.upper[q] - self.ws.lower[q]; // may be +inf
             let mut best_t = if range.is_finite() {
                 range
             } else {
@@ -1112,18 +1198,18 @@ impl<'a> SolverState<'a> {
                 if g.abs() <= tol {
                     continue;
                 }
-                let col = self.basis[i];
+                let col = self.ws.basis[i];
                 let (limit, to) = if g > 0.0 {
                     // Basic value decreases towards its lower bound.
-                    if !self.lower[col].is_finite() {
+                    if !self.ws.lower[col].is_finite() {
                         continue;
                     }
-                    ((self.xb[i] - self.lower[col]) / g, LeaveTo::Lower)
+                    ((self.ws.xb[i] - self.ws.lower[col]) / g, LeaveTo::Lower)
                 } else {
-                    if !self.upper[col].is_finite() {
+                    if !self.ws.upper[col].is_finite() {
                         continue;
                     }
-                    ((self.xb[i] - self.upper[col]) / g, LeaveTo::Upper)
+                    ((self.ws.xb[i] - self.ws.upper[col]) / g, LeaveTo::Upper)
                 };
                 let limit = limit.max(0.0);
                 let take = match leaving {
@@ -1135,7 +1221,7 @@ impl<'a> SolverState<'a> {
                     Some((current, _)) => {
                         limit < best_t - tol
                             || ((limit - best_t).abs() <= tol
-                                && self.basis[i] < self.basis[current])
+                                && self.ws.basis[i] < self.ws.basis[current])
                     }
                 };
                 if take {
@@ -1162,10 +1248,10 @@ impl<'a> SolverState<'a> {
                     for &i in w.nonzeros() {
                         let g = dir * w.get(i);
                         if g != 0.0 {
-                            self.xb[i] -= g * t;
+                            self.ws.xb[i] -= g * t;
                         }
                     }
-                    self.status[q] = if increase {
+                    self.ws.status[q] = if increase {
                         ColStatus::AtUpper
                     } else {
                         ColStatus::AtLower
@@ -1191,18 +1277,18 @@ impl<'a> SolverState<'a> {
                     for &i in w.nonzeros() {
                         let g = dir * w.get(i);
                         if g != 0.0 {
-                            self.xb[i] -= g * t;
+                            self.ws.xb[i] -= g * t;
                         }
                     }
-                    let leaving_col = self.basis[r];
-                    self.status[leaving_col] = match to {
+                    let leaving_col = self.ws.basis[r];
+                    self.ws.status[leaving_col] = match to {
                         LeaveTo::Lower => ColStatus::AtLower,
                         LeaveTo::Upper => ColStatus::AtUpper,
                     };
-                    self.basis[r] = q;
-                    self.status[q] = ColStatus::Basic;
-                    self.xb[r] = entering_value;
-                    self.factor.push_eta(r, w);
+                    self.ws.basis[r] = q;
+                    self.ws.status[q] = ColStatus::Basic;
+                    self.ws.xb[r] = entering_value;
+                    self.ws.factor.push_eta(r, w);
                     self.iterations += 1;
                     if t <= tol {
                         degenerate_streak += 1;
@@ -1219,36 +1305,25 @@ impl<'a> SolverState<'a> {
     // Dual simplex (warm re-solve after a bound change).
     // ------------------------------------------------------------------
     fn dual_simplex(&mut self) -> InnerStatus {
-        let mut y = mem::take(&mut self.y);
-        let mut w = mem::take(&mut self.w);
-        let mut rho = mem::take(&mut self.rho);
-        let mut alpha = mem::take(&mut self.alpha);
-        let mut wf = mem::take(&mut self.aux);
-        let status = self.dual_simplex_inner(&mut y, &mut w, &mut rho, &mut alpha, &mut wf);
-        self.y = y;
-        self.w = w;
-        self.rho = rho;
-        self.alpha = alpha;
-        self.aux = wf;
-        status
+        self.with_scratch(Self::dual_simplex_inner)
     }
 
-    fn dual_simplex_inner(
-        &mut self,
-        y: &mut SparseVector,
-        w: &mut SparseVector,
-        rho: &mut SparseVector,
-        alpha: &mut SparseVector,
-        wf: &mut SparseVector,
-    ) -> InnerStatus {
+    fn dual_simplex_inner(&mut self, scratch: &mut Scratch) -> InnerStatus {
+        let Scratch {
+            y,
+            w,
+            rho,
+            alpha,
+            wf,
+            candidates,
+            bland_order,
+            flips,
+        } = scratch;
         let m = self.lp.m;
         let tol = self.options.tol;
         let cost = &self.lp.cost;
-        // Scratch for the bound-flipping ratio test, reused across pivots.
-        let mut candidates: Vec<(usize, f64, f64)> = Vec::new(); // (col, alpha, ratio)
-        let mut bland_order: Vec<usize> = Vec::new();
         for local_iter in 0..self.options.max_iterations {
-            if self.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
+            if self.ws.factor.eta_count() >= REFACTOR_EVERY && !self.refresh_factorization() {
                 return InnerStatus::Unstable;
             }
             let use_bland = local_iter >= self.options.bland_after;
@@ -1256,9 +1331,9 @@ impl<'a> SolverState<'a> {
             // Leaving row: the basic variable most outside its bounds.
             let mut leaving: Option<(usize, f64, LeaveTo)> = None;
             for i in 0..m {
-                let col = self.basis[i];
-                let below = self.lower[col] - self.xb[i];
-                let above = self.xb[i] - self.upper[col];
+                let col = self.ws.basis[i];
+                let below = self.ws.lower[col] - self.ws.xb[i];
+                let above = self.ws.xb[i] - self.ws.upper[col];
                 let (viol, to) = if below > above {
                     (below, LeaveTo::Lower)
                 } else {
@@ -1282,15 +1357,15 @@ impl<'a> SolverState<'a> {
             // reduced-cost prices.
             rho.reset(m);
             rho.set(r, 1.0);
-            self.factor.btran(rho);
+            self.ws.factor.btran(rho);
             y.reset(m);
-            for (i, &col) in self.basis.iter().enumerate() {
+            for (i, &col) in self.ws.basis.iter().enumerate() {
                 let c = cost[col];
                 if c != 0.0 {
                     y.set(i, c);
                 }
             }
-            self.factor.btran(y);
+            self.ws.factor.btran(y);
 
             // Pivot-row coefficients α_j = ρᵀ a_j, accumulated row-wise over
             // ρ's support so untouched columns are never visited.
@@ -1314,22 +1389,22 @@ impl<'a> SolverState<'a> {
                 bland_order.clear();
                 bland_order.extend_from_slice(alpha.nonzeros());
                 bland_order.sort_unstable();
-                &bland_order
+                bland_order
             } else {
                 alpha.nonzeros()
             };
             for &j in columns {
-                if self.status[j] == ColStatus::Basic {
+                if self.ws.status[j] == ColStatus::Basic {
                     continue;
                 }
-                if self.lower[j] == self.upper[j] && self.status[j] != ColStatus::Free {
+                if self.ws.lower[j] == self.ws.upper[j] && self.ws.status[j] != ColStatus::Free {
                     continue; // fixed columns cannot absorb the change
                 }
                 let alpha_j = alpha.get(j);
                 if alpha_j.abs() <= DUAL_ALPHA_TOL {
                     continue;
                 }
-                let ok = match (to, self.status[j]) {
+                let ok = match (to, self.ws.status[j]) {
                     // x_B(r) must increase back to its lower bound.
                     (LeaveTo::Lower, ColStatus::AtLower) => alpha_j < 0.0,
                     (LeaveTo::Lower, ColStatus::AtUpper) => alpha_j > 0.0,
@@ -1373,10 +1448,10 @@ impl<'a> SolverState<'a> {
             // bound; the entering variable's step is the remaining residual
             // over its pivot coefficient.
             let target = match to {
-                LeaveTo::Lower => self.lower[self.basis[r]],
-                LeaveTo::Upper => self.upper[self.basis[r]],
+                LeaveTo::Lower => self.ws.lower[self.ws.basis[r]],
+                LeaveTo::Upper => self.ws.upper[self.ws.basis[r]],
             };
-            let mut residual = self.xb[r] - target;
+            let mut residual = self.ws.xb[r] - target;
 
             // Bound-flipping ratio test: when the min-ratio column's own step
             // would overshoot its opposite bound, flip it there (no pivot, no
@@ -1388,10 +1463,10 @@ impl<'a> SolverState<'a> {
             // bounds. Disabled under Bland's rule, whose anti-cycling
             // argument assumes plain min-ratio pivots.
             let fits = |state: &Self, j: usize, alpha: f64, residual: f64| -> bool {
-                let range = state.upper[j] - state.lower[j];
+                let range = state.ws.upper[j] - state.ws.lower[j];
                 !range.is_finite() || residual.abs() <= range * alpha.abs() + tol
             };
-            let mut flips: Vec<(usize, f64)> = Vec::new();
+            flips.clear();
             let mut q = q;
             if !use_bland && !fits(self, q, alpha_q, residual) {
                 // Non-finite ratios mean the pricing vectors have drifted
@@ -1402,12 +1477,12 @@ impl<'a> SolverState<'a> {
                 }
                 candidates.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)));
                 let mut chosen = None;
-                for &(j, alpha_j, _) in &candidates {
+                for &(j, alpha_j, _) in candidates.iter() {
                     if fits(self, j, alpha_j, residual) {
                         chosen = Some(j);
                         break;
                     }
-                    let range = self.upper[j] - self.lower[j];
+                    let range = self.ws.upper[j] - self.ws.lower[j];
                     let flip_delta = (residual / alpha_j).signum() * range;
                     flips.push((j, flip_delta));
                     residual -= alpha_j * flip_delta;
@@ -1430,13 +1505,13 @@ impl<'a> SolverState<'a> {
             for &(i, a) in &self.lp.cols[q] {
                 w.set(i, a);
             }
-            self.factor.ftran(w);
+            self.ws.factor.ftran(w);
             if w.get(r).abs() < MIN_PIVOT {
                 // With flips pending, retrying would double-apply them; a
                 // cold restart by the caller is the safe recovery. Without
                 // flips, fold the eta file and retry as before.
                 if !flips.is_empty()
-                    || self.factor.eta_count() == 0
+                    || self.ws.factor.eta_count() == 0
                     || !self.refresh_factorization()
                 {
                     return InnerStatus::Unstable;
@@ -1450,43 +1525,43 @@ impl<'a> SolverState<'a> {
             // one FTRAN per flipped column.
             if !flips.is_empty() {
                 wf.reset(m);
-                for &(j, flip_delta) in &flips {
+                for &(j, flip_delta) in flips.iter() {
                     for &(i, a) in &self.lp.cols[j] {
                         wf.add(i, a * flip_delta);
                     }
-                    self.status[j] = match self.status[j] {
+                    self.ws.status[j] = match self.ws.status[j] {
                         ColStatus::AtLower => ColStatus::AtUpper,
                         ColStatus::AtUpper => ColStatus::AtLower,
                         other => other, // free columns never flip
                     };
                     self.flips += 1;
                 }
-                self.factor.ftran(wf);
+                self.ws.factor.ftran(wf);
                 for &i in wf.nonzeros() {
                     let shift = wf.get(i);
                     if shift != 0.0 {
-                        self.xb[i] -= shift;
+                        self.ws.xb[i] -= shift;
                     }
                 }
             }
 
-            let delta_q = (self.xb[r] - target) / w.get(r);
+            let delta_q = (self.ws.xb[r] - target) / w.get(r);
             let entering_value = self.column_value(q) + delta_q;
             for &i in w.nonzeros() {
                 let g = w.get(i);
                 if g != 0.0 {
-                    self.xb[i] -= g * delta_q;
+                    self.ws.xb[i] -= g * delta_q;
                 }
             }
-            let leaving_col = self.basis[r];
-            self.status[leaving_col] = match to {
+            let leaving_col = self.ws.basis[r];
+            self.ws.status[leaving_col] = match to {
                 LeaveTo::Lower => ColStatus::AtLower,
                 LeaveTo::Upper => ColStatus::AtUpper,
             };
-            self.basis[r] = q;
-            self.status[q] = ColStatus::Basic;
-            self.xb[r] = entering_value;
-            self.factor.push_eta(r, w);
+            self.ws.basis[r] = q;
+            self.ws.status[q] = ColStatus::Basic;
+            self.ws.xb[r] = entering_value;
+            self.ws.factor.push_eta(r, w);
             self.iterations += 1;
         }
         InnerStatus::IterationLimit
